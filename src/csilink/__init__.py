@@ -40,9 +40,8 @@ from .adaptive import (
     schedule_slots,
     select_kappa,
 )
-from .metrics import ErrorCounts, Stopwatch, ber, bler, merge, normalize_runtimes
+from .metrics import ErrorCounts, Stopwatch, ber, bler, merge
 from .phylink import (
-    BitBlock,
     LinkConfig,
     PilotBlock,
     PrecodeSet,

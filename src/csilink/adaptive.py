@@ -72,6 +72,15 @@ class MeasurementDataset:
     def tags(self) -> list[str]:
         return sorted({tag for tag, _, _ in self.cells})
 
+    def resolve_tag(self, channel_tag=None) -> str:
+        """``channel_tag``, or the only tag when none is given."""
+        if channel_tag is not None:
+            return channel_tag
+        tags = self.tags()
+        if len(tags) != 1:
+            raise PolicyError("dataset covers several channels; pass channel_tag")
+        return tags[0]
+
     def bucket_for(self, rho_db: float) -> float:
         diffs = [abs(rho_db - b) for b in self.buckets]
         return self.buckets[diffs.index(min(diffs))]
@@ -85,23 +94,21 @@ class MeasurementDataset:
 
 def build_dataset(records, buckets) -> MeasurementDataset:
     """Group records by (channel tag, nearest SNR bucket, ratio) and average."""
-    buckets = tuple(float(b) for b in buckets)
-    if not buckets:
+    dataset = MeasurementDataset(buckets=tuple(float(b) for b in buckets), cells={})
+    if not dataset.buckets:
         raise ValueError("need at least one SNR bucket")
     sums: dict[tuple[str, float, float], list[float]] = {}
     for rec in records:
-        diffs = [abs(rec.rho_db - b) for b in buckets]
-        bucket = buckets[diffs.index(min(diffs))]
-        key = (rec.channel_tag, bucket, rec.kappa)
+        key = (rec.channel_tag, dataset.bucket_for(rec.rho_db), rec.kappa)
         acc = sums.setdefault(key, [0.0, 0.0, 0])
         acc[0] += rec.ber
         acc[1] += rec.bler
         acc[2] += 1
-    cells = {
+    dataset.cells = {
         key: AggregateCell(ber=s[0] / s[2], bler=s[1] / s[2], n_records=s[2])
         for key, s in sorted(sums.items())
     }
-    return MeasurementDataset(buckets=buckets, cells=cells)
+    return dataset
 
 
 def select_kappa(dataset: MeasurementDataset, rho_db: float, b_max: float = 0.1, channel_tag=None) -> float:
@@ -111,11 +118,7 @@ def select_kappa(dataset: MeasurementDataset, rho_db: float, b_max: float = 0.1,
     when no ratio qualifies the NO_COMPRESSION sentinel is returned. Only
     compressed ratios (kappa > 0) are candidates.
     """
-    if channel_tag is None:
-        tags = dataset.tags()
-        if len(tags) != 1:
-            raise PolicyError("dataset covers several channels; pass channel_tag")
-        channel_tag = tags[0]
+    channel_tag = dataset.resolve_tag(channel_tag)
     bucket = dataset.bucket_for(rho_db)
     kappas = [k for k in dataset.kappas(channel_tag, bucket) if k > 0.0]
     if not kappas:
@@ -165,10 +168,10 @@ def bucket_edges(buckets) -> list[tuple[float, float]]:
 
 def policy_table(dataset: MeasurementDataset, b_max: float = 0.1, channel_tag=None) -> PolicyTable:
     """One chosen ratio per SNR bucket."""
+    tag = dataset.resolve_tag(channel_tag)
     entries = []
     for (lo, hi), center in zip(bucket_edges(dataset.buckets), sorted(dataset.buckets)):
-        kappa = select_kappa(dataset, center, b_max=b_max, channel_tag=channel_tag)
-        tag = channel_tag if channel_tag is not None else dataset.tags()[0]
+        kappa = select_kappa(dataset, center, b_max=b_max, channel_tag=tag)
         if kappa == NO_COMPRESSION:
             blers = [dataset.cell(tag, center, k).bler for k in dataset.kappas(tag, center) if k > 0]
             measured = min(blers)

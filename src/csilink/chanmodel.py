@@ -67,16 +67,6 @@ class CdlProfile:
     def n_clusters(self) -> int:
         return len(self.clusters)
 
-    def truncated(self, n: int) -> "CdlProfile":
-        """First ``n`` clusters, powers renormalized."""
-        kept = self.clusters[:n]
-        total = sum(c.power for c in kept)
-        scaled = tuple(
-            Cluster(c.delay_s, c.power / total, c.aod_az, c.aod_zen, c.aoa_az, c.aoa_zen)
-            for c in kept
-        )
-        return CdlProfile(self.name, scaled, self.los)
-
 
 @dataclass(frozen=True)
 class UraGeometry:

@@ -11,7 +11,6 @@ from . import expsuite
 def _add_common(parser):
     parser.add_argument("--config", help="experiment config JSON (defaults to the built-in desk config)")
     parser.add_argument("--out", required=True, help="output directory for CSV files")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
     parser.add_argument("--seed", type=int, help="override the master seed")
 
 
@@ -30,10 +29,10 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="static compression-ratio sweep (BER/BLER vs SNR)")
-    _add_common(p_sweep)
-
     p_adaptive = sub.add_parser("adaptive", help="adaptive ratio selection vs static baselines")
-    _add_common(p_adaptive)
+    for p in (p_sweep, p_adaptive):
+        _add_common(p)
+        p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
 
     p_heat = sub.add_parser("heatmap", help="CSI magnitude grids: original, latent, reconstruction")
     _add_common(p_heat)
@@ -48,7 +47,8 @@ def main(argv=None) -> int:
         result = expsuite.run_sweep(cfg, out_dir=args.out, threads=args.threads)
         print(f"wrote {len(result.rows)} sweep rows to {args.out}")
     elif args.command == "adaptive":
-        rows, _ = expsuite.run_adaptive_experiment(cfg, out_dir=args.out)
+        sweep = expsuite.run_sweep(cfg, out_dir=args.out, threads=args.threads)
+        rows, _ = expsuite.run_adaptive_experiment(cfg, out_dir=args.out, sweep=sweep)
         print(f"wrote {len(rows)} adaptive rows to {args.out}")
     elif args.command == "heatmap":
         paths = expsuite.emit_csi_heatmap(cfg, args.kappa, args.rho, args.user, args.out)

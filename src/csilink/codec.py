@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import struct
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chanmodel import ChannelTensor
+from .metrics import Stopwatch
 
 WIRE_MAGIC = b"CSIC"
 WIRE_VERSION = 1
@@ -341,19 +341,19 @@ def train(
     params = model.params()
     state = AdamState.for_params(params)
     train_curve, val_curve = [], []
-    start = time.perf_counter()
-    for _ in range(epochs):
-        perm = rng.permutation(x_train.shape[0])
-        losses = []
-        for lo in range(0, x_train.shape[0], batch_size):
-            chunk = x_train[perm[lo : lo + batch_size]]
-            loss, grads = backprop(model, chunk)
-            adam_step(params, grads, state, learning_rate)
-            losses.append(loss)
-        train_curve.append(float(np.mean(losses)))
-        val_curve.append(_batch_loss(model, x_val) if x_val is not None else float("nan"))
-    duration = time.perf_counter() - start
-    return model, TrainHistory(train_loss=train_curve, val_loss=val_curve, duration_s=duration)
+    watch = Stopwatch()
+    with watch.section("epochs"):
+        for _ in range(epochs):
+            perm = rng.permutation(x_train.shape[0])
+            losses = []
+            for lo in range(0, x_train.shape[0], batch_size):
+                chunk = x_train[perm[lo : lo + batch_size]]
+                loss, grads = backprop(model, chunk)
+                adam_step(params, grads, state, learning_rate)
+                losses.append(loss)
+            train_curve.append(float(np.mean(losses)))
+            val_curve.append(_batch_loss(model, x_val) if x_val is not None else float("nan"))
+    return model, TrainHistory(train_loss=train_curve, val_loss=val_curve, duration_s=watch.get("epochs"))
 
 
 def quantize(v) -> np.ndarray:

@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +22,7 @@ from . import adaptive as ad
 from . import codec
 from . import chanmodel as cm
 from . import phylink as pl
-from .metrics import ErrorCounts, merge
+from .metrics import ErrorCounts, Stopwatch, merge
 
 MASK64 = (1 << 64) - 1
 
@@ -68,6 +67,16 @@ class TrainSettings:
     dataset_size: int = 512
     val_fraction: float = 0.2
 
+    def __post_init__(self):
+        if self.epochs < 1 or self.batch_size < 1 or self.dataset_size < 1:
+            raise ValueError("epochs, batch_size and dataset_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        # The same split rule codec.train applies.
+        n_val = int(round(self.val_fraction * self.dataset_size))
+        if self.val_fraction < 0 or n_val >= self.dataset_size:
+            raise ValueError("val_fraction must be >= 0 and leave at least one training sample")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,20 +95,34 @@ class ExperimentConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
     b_max: float = 0.1
     master_seed: int = 555
-    pattern: str = "duty_cycle"
-    pattern_parameter: float = 0.5
     static_kappa: float = 0.5
     adaptive_profile: str | None = None
     orthogonal_pilots: bool = False
 
     def __post_init__(self):
+        """Every check a run depends on, so that a bad config fails when it is
+        built or loaded rather than after codec training."""
+        if not self.profiles:
+            raise ValueError("need at least one channel profile")
         if not self.rhos:
             raise ValueError("need at least one SNR point")
         if self.n_users < 1:
             raise ValueError("need at least one user")
+        if self.n_blocks < 1:
+            raise ValueError("need at least one fading block")
+        if self.n_pilot < self.n_t:
+            raise ValueError("need n_pilot >= n_t for least-squares estimation")
         for k in self.kappas:
             if not 0.0 < k < 1.0:
                 raise ValueError("compression ratios must lie strictly between 0 and 1")
+        if len(set(self.kappas)) != len(self.kappas):
+            raise ValueError(f"compression ratios must be unique, got {self.kappas}")
+        if self.static_kappa not in self.kappas:
+            raise ValueError("static_kappa must be one of the swept ratios")
+        if self.adaptive_profile is not None:
+            names = [resolve_profile(p).name for p in self.profiles]
+            if self.adaptive_profile not in names:
+                raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
         if self.master_seed < 0:
             raise ValueError("master seed must be a non-negative 64-bit integer")
 
@@ -127,7 +150,6 @@ class ExperimentConfig:
             n_pilot=self.n_pilot,
             delta_f=self.delta_f,
             snr_db=rho_db,
-            orthogonal_pilots=self.orthogonal_pilots,
         )
 
     def user_seed(self, v: int) -> int:
@@ -147,8 +169,8 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     train_raw = raw.pop("train", {})
-    known = set(ExperimentConfig.__dataclass_fields__) - {"train"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
+    unknown |= {f"train.{k}" for k in set(train_raw) - set(TrainSettings.__dataclass_fields__)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("profiles", "kappas", "rhos"):
@@ -171,7 +193,6 @@ def save_config(cfg: ExperimentConfig, path):
 class CodecBundle:
     model: codec.AutoencoderModel
     history: codec.TrainHistory
-    train_seconds: float
 
 
 @dataclass
@@ -214,7 +235,6 @@ def train_codec_family(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_id
             stream_seed(cfg.master_seed, _INIT, profile_idx),
             kappa_index=k_idx,
         )
-        start = time.perf_counter()
         model, history = codec.train(
             model,
             data,
@@ -224,8 +244,7 @@ def train_codec_family(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_id
             seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
             val_fraction=cfg.train.val_fraction,
         )
-        train_seconds = time.perf_counter() - start
-        bundles[kappa] = CodecBundle(model=model, history=history, train_seconds=train_seconds)
+        bundles[kappa] = CodecBundle(model=model, history=history)
     return bundles
 
 
@@ -244,6 +263,27 @@ def _block_channels(cfg: ExperimentConfig, profile, profile_idx, user) -> list[c
         stream_seed(cfg.user_seed(user), _CHANNEL, profile_idx),
         cfg.n_blocks,
     )
+
+
+def _estimate_channel(
+    cfg: ExperimentConfig,
+    h_true: cm.ChannelTensor,
+    noise_var: float,
+    user: int,
+    profile_idx: int,
+    block: int,
+) -> cm.ChannelTensor:
+    """LS estimate of one block's true channel from the user's pilot and
+    pilot-noise streams: the one path from a true channel to an estimate."""
+    user_seed = cfg.user_seed(user)
+    pilots = pl.generate_pilots(
+        cfg.n_pilot,
+        cfg.n_t,
+        stream_seed(user_seed, _PILOT, profile_idx, block),
+        orthogonal=cfg.orthogonal_pilots,
+    )
+    pb = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
+    return pl.ls_estimate(pb)
 
 
 def evaluate_point(
@@ -270,25 +310,14 @@ def evaluate_point(
 
     counts = ErrorCounts()
     mse_sum = 0.0
-    codec_seconds = 0.0
+    watch = Stopwatch()
     for block, (h_true, payload) in enumerate(zip(channels, payload_blocks)):
-        pilots = pl.generate_pilots(
-            cfg.n_pilot,
-            cfg.n_t,
-            stream_seed(user_seed, _PILOT, profile_idx, block),
-            orthogonal=cfg.orthogonal_pilots,
-        )
-        pb = pl.observe_pilots(
-            h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block)
-        )
-        h_est = pl.ls_estimate(pb)
+        h_est = _estimate_channel(cfg, h_true, noise_var, user, profile_idx, block)
         if model is None:
             h_rec = h_est
         else:
-            t0 = time.perf_counter()
-            latent = codec.compress(model, h_est)
-            h_rec = codec.decompress(model, latent)
-            codec_seconds += time.perf_counter() - t0
+            with watch.section("codec"):
+                h_rec = codec.decompress(model, codec.compress(model, h_est))
             mse_sum += codec.mse_loss(
                 codec.realify(codec.vectorize_csi(h_est)),
                 codec.realify(codec.vectorize_csi(h_rec)),
@@ -303,7 +332,7 @@ def evaluate_point(
         )
         counts = merge(counts, result.counts)
     recon_mse = mse_sum / cfg.n_blocks if model is not None else 0.0
-    return counts, recon_mse, codec_seconds
+    return counts, recon_mse, watch.get("codec")
 
 
 def _sweep_group(args):
@@ -311,27 +340,27 @@ def _sweep_group(args):
     cfg, profile, profile_idx, kappa, model = args
     rows = []
     codec_seconds = 0.0
-    eval_start = time.perf_counter()
-    for rho in cfg.rhos:
-        for user in range(cfg.n_users):
-            counts, recon_mse, csec = evaluate_point(cfg, profile, profile_idx, model, rho, user)
-            codec_seconds += csec
-            rows.append(
-                {
-                    "profile": profile.name,
-                    "ura": cfg.ura_label,
-                    "kappa": float(kappa),
-                    "rho_db": float(rho),
-                    "user_seed": cfg.user_seed(user),
-                    "ber": counts.ber,
-                    "ber_stderr": counts.ber_stderr,
-                    "bler": counts.bler,
-                    "bler_stderr": counts.bler_stderr,
-                    "recon_mse": recon_mse,
-                }
-            )
-    eval_seconds = time.perf_counter() - eval_start
-    return (profile_idx, float(kappa)), rows, codec_seconds, eval_seconds
+    watch = Stopwatch()
+    with watch.section("eval"):
+        for rho in cfg.rhos:
+            for user in range(cfg.n_users):
+                counts, recon_mse, csec = evaluate_point(cfg, profile, profile_idx, model, rho, user)
+                codec_seconds += csec
+                rows.append(
+                    {
+                        "profile": profile.name,
+                        "ura": cfg.ura_label,
+                        "kappa": float(kappa),
+                        "rho_db": float(rho),
+                        "user_seed": cfg.user_seed(user),
+                        "ber": counts.ber,
+                        "ber_stderr": counts.ber_stderr,
+                        "bler": counts.bler,
+                        "bler_stderr": counts.bler_stderr,
+                        "recon_mse": recon_mse,
+                    }
+                )
+    return (profile_idx, float(kappa)), rows, codec_seconds, watch.get("eval")
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepResult:
@@ -340,12 +369,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
     profiles = [resolve_profile(p) for p in cfg.profiles]
     models: dict[tuple[str, float], codec.AutoencoderModel] = {}
     histories: dict[tuple[str, float], codec.TrainHistory] = {}
-    train_seconds: dict[tuple[str, float], float] = {}
     for pidx, profile in enumerate(profiles):
         for kappa, bundle in train_codec_family(cfg, profile, pidx).items():
             models[(profile.name, kappa)] = bundle.model
             histories[(profile.name, kappa)] = bundle.history
-            train_seconds[(profile.name, kappa)] = bundle.train_seconds
 
     groups = []
     for pidx, profile in enumerate(profiles):
@@ -364,12 +391,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
     timing: list[dict] = []
     for (pidx, kappa), group_rows, codec_seconds, eval_seconds in results:
         rows.extend(group_rows)
+        history = histories.get((profiles[pidx].name, kappa))
         timing.append(
             {
                 "profile": profiles[pidx].name,
                 "ura": cfg.ura_label,
                 "kappa": kappa,
-                "train_seconds": train_seconds.get((profiles[pidx].name, kappa), 0.0),
+                "train_seconds": history.duration_s if history is not None else 0.0,
                 "codec_seconds": codec_seconds,
                 "eval_seconds": eval_seconds,
             }
@@ -400,11 +428,6 @@ def write_csv(path, columns, rows):
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def read_csv(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
 def sweep_records(cfg: ExperimentConfig, rows) -> list[ad.MeasurementRecord]:
     """Sweep rows as policy measurement records (baseline rows included)."""
     return [
@@ -421,24 +444,18 @@ def sweep_records(cfg: ExperimentConfig, rows) -> list[ad.MeasurementRecord]:
     ]
 
 
-def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, sweep: SweepResult | None = None):
+def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: SweepResult):
     """Adaptive ratio selection versus the static and uncompressed baselines.
 
-    The policy table is built from sweep measurements; the three traces are
-    then evaluated on fresh, paired realizations (identical channels, noise
-    and payloads for all three schemes at each SNR point).
+    The policy table is built from the measurements of ``sweep``, a
+    run_sweep result for the same config; the three traces are then
+    evaluated on fresh, paired realizations (identical channels, noise and
+    payloads for all three schemes at each SNR point).
     """
-    if sweep is None:
-        sweep = run_sweep(cfg, out_dir=out_dir)
-    profile_name = cfg.adaptive_profile or resolve_profile(cfg.profiles[0]).name
     profiles = [resolve_profile(p) for p in cfg.profiles]
     names = [p.name for p in profiles]
-    if profile_name not in names:
-        raise ValueError(f"adaptive profile {profile_name!r} is not part of the sweep")
-    profile_idx = names.index(profile_name)
-    profile = profiles[profile_idx]
-    if cfg.static_kappa not in cfg.kappas:
-        raise ValueError("static_kappa must be one of the swept ratios")
+    profile_idx = names.index(cfg.adaptive_profile) if cfg.adaptive_profile is not None else 0
+    profile, profile_name = profiles[profile_idx], names[profile_idx]
 
     dataset = ad.build_dataset(sweep_records(cfg, sweep.rows), buckets=cfg.rhos)
     table = ad.policy_table(dataset, b_max=cfg.b_max, channel_tag=profile_name)
@@ -490,13 +507,9 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     else:
         model = train_codec_family(cfg, profile, 0)[kappa].model
 
-    link_cfg = cfg.link_config(rho_db)
-    noise_var = pl.noise_var_from_snr(link_cfg)
-    user_seed = cfg.user_seed(user)
+    noise_var = pl.noise_var_from_snr(cfg.link_config(rho_db))
     h_true = _block_channels(cfg, profile, 0, user)[0]
-    pilots = pl.generate_pilots(cfg.n_pilot, cfg.n_t, stream_seed(user_seed, _PILOT, 0, 0))
-    pb = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, 0, 0))
-    h_est = pl.ls_estimate(pb)
+    h_est = _estimate_channel(cfg, h_true, noise_var, user, 0, 0)
     latent = codec.compress(model, h_est)
     h_rec = codec.decompress(model, latent)
 

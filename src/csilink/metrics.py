@@ -98,18 +98,6 @@ class Stopwatch:
             elapsed = time.perf_counter() - start
             self.totals[label] = self.totals.get(label, 0.0) + elapsed
 
-    def add(self, label: str, seconds: float):
-        self.totals[label] = self.totals.get(label, 0.0) + seconds
-
     def get(self, label: str) -> float:
         return self.totals.get(label, 0.0)
 
-
-def normalize_runtimes(totals: dict) -> dict:
-    """Each duration divided by the max across the compared runs."""
-    if not totals:
-        return {}
-    peak = max(totals.values())
-    if peak <= 0:
-        raise ValueError("cannot normalize non-positive durations")
-    return {label: value / peak for label, value in totals.items()}

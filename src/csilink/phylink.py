@@ -41,16 +41,12 @@ class LinkConfig:
     snr_db: float
     total_power: float = 1.0
     crc_poly: tuple[int, ...] = DEFAULT_CRC_POLY
-    modulation_order: int = 16
-    orthogonal_pilots: bool = False
 
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.n_sc, self.n_pilot) < 1:
             raise ValueError("antenna/subcarrier/pilot counts must be positive")
         if self.n_pilot < self.n_t:
             raise ValueError("need n_pilot >= n_t for least-squares estimation")
-        if self.modulation_order != 16:
-            raise ValueError("only 16-QAM is supported")
         if self.delta_f <= 0 or self.total_power <= 0:
             raise ValueError("delta_f and total_power must be positive")
 
@@ -75,17 +71,6 @@ class LinkConfig:
     def subcarrier_power(self) -> float:
         """Transmit power budget per subcarrier."""
         return self.total_power / self.n_sc
-
-
-@dataclass(frozen=True)
-class BitBlock:
-    bits: np.ndarray
-    codeword_len: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=np.uint8))
-        if self.codeword_len < 1:
-            raise ValueError("codeword_len must be positive")
 
 
 @dataclass
@@ -261,11 +246,6 @@ def noise_var_from_snr(cfg: LinkConfig) -> float:
     return cfg.total_power / (cfg.n_sc * cfg.n_t * rho)
 
 
-def reference_symbol_power(cfg: LinkConfig) -> float:
-    """Received power of one OFDM resource element, P_x/(n_t*n_sc)."""
-    return cfg.total_power / (cfg.n_t * cfg.n_sc)
-
-
 def waterfill(gains, noise_var: float, budget: float) -> np.ndarray:
     """Waterfilling powers p_i = max(0, mu - noise_var/gain_i^2) with the
     water level found by bisection so the powers sum to the budget."""
@@ -362,13 +342,11 @@ def frame_codewords(payload: np.ndarray, cfg: LinkConfig) -> np.ndarray:
 
 
 def run_link_once(payload, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: LinkConfig, seed) -> LinkResult:
-    """One pass of the full chain on a payload bit vector (or BitBlock).
+    """One pass of the full chain on a payload bit vector.
 
     The precoder, combiner and equalizer are derived from ``h_recon``;
     propagation uses ``h_true``. Deterministic given the seed.
     """
-    if isinstance(payload, BitBlock):
-        payload = payload.bits
     if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
         raise ValueError("channel tensor dimensions do not match the link config")
     noise_var = noise_var_from_snr(cfg)

@@ -1,4 +1,6 @@
 import json
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from csilink import cli
 from csilink import codec
 from csilink import expsuite as ex
+
+DESK_JSON = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 
 def tiny_config(**overrides):
@@ -46,6 +50,9 @@ class TestConfig:
         assert cfg.n_users == 10
         assert cfg.train.epochs == 64 and cfg.train.batch_size == 128
 
+    def test_desk_json_matches_defaults(self):
+        assert ex.load_config(DESK_JSON) == ex.ExperimentConfig()
+
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "cfg.json"
@@ -57,14 +64,42 @@ class TestConfig:
         path.write_text(json.dumps({"not_a_field": 1}))
         with pytest.raises(ValueError, match="not_a_field"):
             ex.load_config(path)
+        path.write_text(json.dumps({"train": {"epoch": 1}}))
+        with pytest.raises(ValueError, match="train.epoch"):
+            ex.load_config(path)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tiny_config(kappas=(1.5,))
-        with pytest.raises(ValueError):
-            tiny_config(rhos=())
-        with pytest.raises(ValueError):
-            tiny_config(n_users=0)
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(dict(kappas=(1.5,)), "strictly between", id="kappa_out_of_range"),
+            pytest.param(dict(rhos=()), "SNR point", id="no_snr"),
+            pytest.param(dict(n_users=0), "one user", id="no_users"),
+            pytest.param(dict(kappas=(0.5, 0.5)), "unique", id="duplicate_kappas"),
+            pytest.param(dict(n_blocks=0), "fading block", id="no_blocks"),
+            pytest.param(dict(profiles=()), "channel profile", id="no_profiles"),
+            pytest.param(dict(n_pilot=3), "n_pilot >= n_t", id="fewer_pilots_than_tx"),
+            pytest.param(dict(static_kappa=0.9), "static_kappa", id="static_kappa_not_swept"),
+            pytest.param(dict(adaptive_profile="CDL-C"), "adaptive profile", id="adaptive_profile_not_swept"),
+            pytest.param(dict(train=dict(epochs=0)), "epochs", id="zero_epochs"),
+            pytest.param(dict(train=dict(batch_size=0)), "batch_size", id="zero_batch"),
+            pytest.param(dict(train=dict(learning_rate=0.0)), "learning_rate", id="zero_learning_rate"),
+            pytest.param(dict(train=dict(dataset_size=0)), "dataset_size", id="empty_dataset"),
+            pytest.param(dict(train=dict(val_fraction=-0.1)), "val_fraction", id="negative_val_fraction"),
+            pytest.param(dict(train=dict(val_fraction=1.0)), "val_fraction", id="no_training_sample"),
+        ],
+    )
+    def test_validation(self, overrides, message, tmp_path):
+        """A bad config fails when it is built or loaded, before any training."""
+        raw = asdict(tiny_config())
+        raw.update({k: v for k, v in overrides.items() if k != "train"})
+        raw["train"].update(overrides.get("train", {}))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=message):
+            ex.load_config(path)
+        with pytest.raises(ValueError, match=message):
+            train = ex.TrainSettings(**raw.pop("train"))
+            ex.ExperimentConfig(train=train, **raw)
 
 
 class TestRunSweep:
@@ -135,8 +170,8 @@ class TestAdaptiveExperiment:
 
     def test_static_kappa_must_be_swept(self, tiny_sweep):
         cfg, result, _ = tiny_sweep
-        bad = tiny_config(static_kappa=0.9)
         with pytest.raises(ValueError):
+            bad = tiny_config(static_kappa=0.9)
             ex.run_adaptive_experiment(bad, sweep=result)
 
 
@@ -150,6 +185,13 @@ class TestHeatmap:
         assert original.shape == (cfg.n_sc, cfg.n_t)
         assert recon.shape == (cfg.n_sc, cfg.n_t)
         assert latent.size == codec.latent_dim(0.5, *cfg.dims)
+
+    def test_orthogonal_pilots_change_the_estimate(self, tiny_sweep, tmp_path):
+        cfg, result, _ = tiny_sweep
+        plain = ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path / "plain", sweep=result)
+        ortho_cfg = replace(cfg, orthogonal_pilots=True)
+        ortho = ex.emit_csi_heatmap(ortho_cfg, 0.5, 30.0, 0, tmp_path / "ortho", sweep=result)
+        assert Path(plain["original"]).read_bytes() != Path(ortho["original"]).read_bytes()
 
     def test_unknown_kappa_rejected(self, tiny_sweep, tmp_path):
         cfg, result, _ = tiny_sweep
@@ -203,13 +245,23 @@ class TestCli:
         assert (out / "heatmap_latent.csv").exists()
         assert (out / "heatmap_reconstructed.csv").exists()
 
+    def test_heatmap_has_no_threads_flag(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        ex.save_config(tiny_config(), cfg_path)
+        with pytest.raises(SystemExit):
+            cli.main([
+                "heatmap", "--config", str(cfg_path), "--out", str(tmp_path / "grids"),
+                "--kappa", "0.5", "--rho", "30", "--user", "0", "--threads", "2",
+            ])
+
     def test_adaptive_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         ex.save_config(tiny_config(), cfg_path)
-        out = tmp_path / "adaptive"
-        assert cli.main(["adaptive", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "adaptive.csv").exists()
-        assert (out / "policy.csv").exists()
+        outs = {n: tmp_path / f"adaptive_{n}" for n in ("1", "2")}
+        for n, out in outs.items():
+            assert cli.main(["adaptive", "--config", str(cfg_path), "--out", str(out), "--threads", n]) == 0
+        for name in ("adaptive.csv", "policy.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

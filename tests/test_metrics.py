@@ -97,19 +97,6 @@ class TestErrorCounts:
 
 
 class TestStopwatch:
-    def test_normalized_values_in_unit_interval(self):
-        sw = mt.Stopwatch()
-        sw.add("a", 0.5)
-        sw.add("b", 2.0)
-        sw.add("c", 1.0)
-        norm = mt.normalize_runtimes(sw.totals)
-        assert all(0.0 < v <= 1.0 for v in norm.values())
-
-    def test_max_normalizes_to_one(self):
-        norm = mt.normalize_runtimes({"x": 1.0, "y": 4.0})
-        assert norm["y"] == 1.0
-        assert norm["x"] == 0.25
-
     def test_nested_sections_bounded_by_parent(self):
         sw = mt.Stopwatch()
         with sw.section("parent"):

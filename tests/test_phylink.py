@@ -280,9 +280,6 @@ class TestNoiseVar:
         ratio = pl.noise_var_from_snr(self.cfg) / pl.noise_var_from_snr(cfg10)
         assert ratio == pytest.approx(10.0, rel=1e-12)
 
-    def test_reference_symbol_power(self):
-        assert pl.reference_symbol_power(self.cfg) == pytest.approx(1.0 / (16 * 128), rel=1e-12)
-
 
 class TestRunLinkOnce:
     @staticmethod
