@@ -260,15 +260,15 @@ class AdaptiveDecision:
     bler_stderr: float
 
 
-def run_adaptive(dataset: MeasurementDataset, sweep_rhos, evaluate, b_max: float = 0.1, channel_tag=None):
-    """Select a ratio per SNR point and evaluate the link with it.
+def run_adaptive(table: PolicyTable, sweep_rhos, evaluate):
+    """Evaluate the link at each SNR point with the ratio ``table`` picks.
 
     ``evaluate(kappa, rho_db)`` runs the chain with the model for ``kappa``
     (NO_COMPRESSION = raw estimate) and returns (bler, bler_stderr).
     """
     out = []
     for rho in sweep_rhos:
-        kappa = select_kappa(dataset, rho, b_max=b_max, channel_tag=channel_tag)
+        kappa = table.kappa_for(rho)
         bler_val, stderr = evaluate(kappa, rho)
         out.append(AdaptiveDecision(rho_db=float(rho), kappa=kappa, bler=bler_val, bler_stderr=stderr))
     return out

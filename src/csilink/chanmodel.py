@@ -18,6 +18,8 @@ from importlib import resources
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Array element spacing in wavelengths.
+ELEMENT_SPACING = 0.5
 
 _CLUSTER_FIELDS = (
     "delay_s",
@@ -74,13 +76,10 @@ class UraGeometry:
 
     rows: int
     cols: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least one element")
-        if self.spacing != 0.5:
-            raise ValueError("element spacing is fixed at half a wavelength")
 
     @property
     def n_elements(self) -> int:
@@ -176,7 +175,7 @@ def steering_vector(geom: UraGeometry, azimuth: float, zenith: float) -> np.ndar
     v = math.sin(zenith) * math.sin(azimuth)
     r = np.arange(geom.rows)[:, None]
     c = np.arange(geom.cols)[None, :]
-    phase = TWO_PI * geom.spacing * (c * u + r * v)
+    phase = TWO_PI * ELEMENT_SPACING * (c * u + r * v)
     return np.exp(1j * phase).reshape(-1)
 
 

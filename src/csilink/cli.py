@@ -14,6 +14,12 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, help="override the master seed")
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
+
+
 def _load(args) -> expsuite.ExperimentConfig:
     cfg = expsuite.load_config(args.config) if args.config else expsuite.ExperimentConfig()
     if args.seed is not None:
@@ -32,7 +38,7 @@ def main(argv=None) -> int:
     p_adaptive = sub.add_parser("adaptive", help="adaptive ratio selection vs static baselines")
     for p in (p_sweep, p_adaptive):
         _add_common(p)
-        p.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
+        p.add_argument("--threads", type=_positive_int, default=1, help="parallel sweep workers")
 
     p_heat = sub.add_parser("heatmap", help="CSI magnitude grids: original, latent, reconstruction")
     _add_common(p_heat)

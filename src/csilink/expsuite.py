@@ -10,6 +10,7 @@ timing CSV to keep the result files deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -220,32 +221,31 @@ def build_training_set(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_id
 
 
 def train_codec_family(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> dict[float, CodecBundle]:
-    """One trained model per compression ratio, on a shared training set.
-
-    Init and shuffle seeds are shared across the ratios (paired training):
-    the models differ only through their latent widths, which keeps
-    cross-ratio comparisons free of initialization luck.
-    """
+    """One trained model per compression ratio, on a shared training set."""
     data = build_training_set(cfg, profile, profile_idx)
-    bundles = {}
-    for k_idx, kappa in enumerate(cfg.kappas):
-        model = codec.ae_init(
-            kappa,
-            cfg.dims,
-            stream_seed(cfg.master_seed, _INIT, profile_idx),
-            kappa_index=k_idx,
-        )
-        model, history = codec.train(
-            model,
-            data,
-            epochs=cfg.train.epochs,
-            batch_size=cfg.train.batch_size,
-            learning_rate=cfg.train.learning_rate,
-            seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
-            val_fraction=cfg.train.val_fraction,
-        )
-        bundles[kappa] = CodecBundle(model=model, history=history)
-    return bundles
+    return {kappa: _train_codec(cfg, data, profile_idx, kappa) for kappa in cfg.kappas}
+
+
+def _train_codec(cfg: ExperimentConfig, data: np.ndarray, profile_idx: int, kappa: float) -> CodecBundle:
+    """The model for ``kappa`` on a profile's training set. The ratios share
+    init and shuffle seeds (paired training), so their models differ only in
+    latent width, free of initialization luck."""
+    model = codec.ae_init(
+        kappa,
+        cfg.dims,
+        stream_seed(cfg.master_seed, _INIT, profile_idx),
+        kappa_index=cfg.kappas.index(kappa),
+    )
+    model, history = codec.train(
+        model,
+        data,
+        epochs=cfg.train.epochs,
+        batch_size=cfg.train.batch_size,
+        learning_rate=cfg.train.learning_rate,
+        seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
+        val_fraction=cfg.train.val_fraction,
+    )
+    return CodecBundle(model=model, history=history)
 
 
 def _user_payload(cfg: ExperimentConfig, user: int) -> np.ndarray:
@@ -460,6 +460,8 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     dataset = ad.build_dataset(sweep_records(cfg, sweep.rows), buckets=cfg.rhos)
     table = ad.policy_table(dataset, b_max=cfg.b_max, channel_tag=profile_name)
 
+    # The traces share seeds, so a point that two traces pick runs once.
+    @functools.cache
     def evaluate(kappa: float, rho: float) -> tuple[float, float]:
         model = None if kappa == ad.NO_COMPRESSION else sweep.models[(profile_name, kappa)]
         total = ErrorCounts()
@@ -470,7 +472,7 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
             total = merge(total, counts)
         return total.bler, total.bler_stderr
 
-    decisions = ad.run_adaptive(dataset, cfg.rhos, evaluate, b_max=cfg.b_max, channel_tag=profile_name)
+    decisions = ad.run_adaptive(table, cfg.rhos, evaluate)
 
     rows = []
     for decision in decisions:
@@ -505,7 +507,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     if sweep is not None and (profile.name, kappa) in sweep.models:
         model = sweep.models[(profile.name, kappa)]
     else:
-        model = train_codec_family(cfg, profile, 0)[kappa].model
+        model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
 
     noise_var = pl.noise_var_from_snr(cfg.link_config(rho_db))
     h_true = _block_channels(cfg, profile, 0, user)[0]

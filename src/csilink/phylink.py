@@ -25,6 +25,8 @@ from .metrics import ErrorCounts
 
 # Generator polynomial x^6 + x^4 + x + 1, MSB first.
 DEFAULT_CRC_POLY = (1, 0, 1, 0, 0, 1, 1)
+# Transmit power summed over all subcarriers.
+TOTAL_POWER = 1.0
 
 QAM16_SCALE = 1.0 / math.sqrt(10.0)
 # Axis level for the bit pair index 2*b0 + b1 under the Gray map above.
@@ -39,7 +41,6 @@ class LinkConfig:
     n_pilot: int
     delta_f: float
     snr_db: float
-    total_power: float = 1.0
     crc_poly: tuple[int, ...] = DEFAULT_CRC_POLY
 
     def __post_init__(self):
@@ -47,8 +48,8 @@ class LinkConfig:
             raise ValueError("antenna/subcarrier/pilot counts must be positive")
         if self.n_pilot < self.n_t:
             raise ValueError("need n_pilot >= n_t for least-squares estimation")
-        if self.delta_f <= 0 or self.total_power <= 0:
-            raise ValueError("delta_f and total_power must be positive")
+        if self.delta_f <= 0:
+            raise ValueError("delta_f must be positive")
 
     @property
     def n_streams(self) -> int:
@@ -70,7 +71,7 @@ class LinkConfig:
     @property
     def subcarrier_power(self) -> float:
         """Transmit power budget per subcarrier."""
-        return self.total_power / self.n_sc
+        return TOTAL_POWER / self.n_sc
 
 
 @dataclass
@@ -243,43 +244,31 @@ def noise_var_from_snr(cfg: LinkConfig) -> float:
     rho = 10.0 ** (cfg.snr_db / 10.0)
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("SNR must map to a positive finite linear value")
-    return cfg.total_power / (cfg.n_sc * cfg.n_t * rho)
+    return TOTAL_POWER / (cfg.n_sc * cfg.n_t * rho)
 
 
 def waterfill(gains, noise_var: float, budget: float) -> np.ndarray:
-    """Waterfilling powers p_i = max(0, mu - noise_var/gain_i^2) with the
-    water level found by bisection so the powers sum to the budget."""
+    """Waterfilling powers p_i = max(0, mu - noise_var/gain_i^2) over the last
+    axis of ``gains``, each row summing to the budget. The water level mu is
+    exact: with the floors sorted, it is (budget + sum of the k lowest floors)
+    / k for the largest k whose level clears its own k-th floor (Palomar &
+    Fonollosa, IEEE TSP 2005). Zero gains get no power."""
     sigma = np.asarray(gains, dtype=float)
     if budget <= 0:
         raise ValueError("power budget must be positive")
     if np.any(sigma < 0):
         raise ValueError("gains must be non-negative")
     active = sigma > 0
-    if not active.any():
+    if not np.all(active.any(axis=-1)):
         raise ValueError("all eigenmode gains are zero")
     floor = np.full(sigma.shape, np.inf)
     floor[active] = noise_var / sigma[active] ** 2
 
-    def total(mu):
-        return np.maximum(0.0, mu - floor[active]).sum()
-
-    lo = floor[active].min()
-    hi = lo + budget
-    tol = 1e-9 * budget
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        if total(mu) > budget:
-            hi = mu
-        else:
-            lo = mu
-        if hi - lo < tol / max(1, active.sum()):
-            break
-    mu = 0.5 * (lo + hi)
-    powers = np.maximum(0.0, mu - floor)
-    powers[~active] = 0.0
-    # Snap the sum onto the budget to kill the residual bisection gap.
-    scale = budget / powers.sum()
-    return powers * scale
+    ordered = np.sort(floor, axis=-1)
+    levels = (budget + np.cumsum(ordered, axis=-1)) / np.arange(1, sigma.shape[-1] + 1)
+    n_active = np.sum(levels > ordered, axis=-1, keepdims=True)
+    mu = np.take_along_axis(levels, n_active - 1, axis=-1)
+    return np.maximum(0.0, mu - floor)
 
 
 def svd_precoder(h_recon: ChannelTensor, noise_var: float, budget: float) -> PrecodeSet:
@@ -288,10 +277,11 @@ def svd_precoder(h_recon: ChannelTensor, noise_var: float, budget: float) -> Pre
     F holds the leading right singular vectors scaled by the square roots of
     the waterfilled eigenmode powers, G the leading left singular vectors.
     Each singular vector is rotated so its largest-magnitude entry is real and
-    positive, which pins down the SVD sign/phase ambiguity.
+    positive, which pins down the SVD sign/phase ambiguity. One waterfill call
+    gives every subcarrier its own water level and the full ``budget``.
     """
     h = h_recon.data
-    n_sc, n_r, n_t = h.shape
+    _, n_r, n_t = h.shape
     n_s = min(n_r, n_t)
     u, s, vh = np.linalg.svd(h, full_matrices=False)
     u = u[:, :, :n_s]
@@ -299,9 +289,7 @@ def svd_precoder(h_recon: ChannelTensor, noise_var: float, budget: float) -> Pre
     v = vh.conj().transpose(0, 2, 1)[:, :, :n_s]
     u = _canonical_columns(u)
     v = _canonical_columns(v)
-    powers = np.zeros((n_sc, n_s))
-    for k in range(n_sc):
-        powers[k] = waterfill(s[k], noise_var, budget)
+    powers = waterfill(s, noise_var, budget)
     f = v * np.sqrt(powers)[:, None, :]
     return PrecodeSet(f=f, g=u, sigma=s, powers=powers)
 

@@ -216,7 +216,7 @@ class TestRunAdaptive:
             assert kappa == 0.5
             return measured[(kappa, rho)]
 
-        decisions = ad.run_adaptive(ds, rhos, evaluate)
+        decisions = ad.run_adaptive(ad.policy_table(ds), rhos, evaluate)
         assert [d.kappa for d in decisions] == [0.5, 0.5, 0.5]
         assert [(d.bler, d.bler_stderr) for d in decisions] == [measured[(0.5, r)] for r in rhos]
 
@@ -226,7 +226,7 @@ class TestRunAdaptive:
         records = [record(r, k, float(rng.uniform(0, 1)))
                    for r in rhos for k in (0.1, 0.5, 0.7) for _ in range(3)]
         ds = ad.build_dataset(records, buckets=rhos)
-        decisions = ad.run_adaptive(ds, rhos, lambda k, r: (0.0, 0.0), b_max=0.1)
+        decisions = ad.run_adaptive(ad.policy_table(ds, b_max=0.1), rhos, lambda k, r: (0.0, 0.0))
         for d in decisions:
             if d.kappa != ad.NO_COMPRESSION:
                 assert ds.cell("CDL-X", d.rho_db, d.kappa).bler <= 0.1

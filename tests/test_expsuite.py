@@ -168,6 +168,22 @@ class TestAdaptiveExperiment:
         assert (out / "policy.csv").exists()
         assert len(table.entries) == len(cfg.rhos)
 
+    def test_each_point_evaluated_once(self, tiny_sweep, monkeypatch):
+        """The adaptive trace picks the static or the uncompressed ratio here,
+        so it repeats points of those traces and runs none of its own."""
+        cfg, result, _ = tiny_sweep
+        calls = []
+        evaluate_point = ex.evaluate_point
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_point(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "evaluate_point", counting)
+        rows, _ = ex.run_adaptive_experiment(cfg, sweep=result)
+        assert {row["kappa_star"] for row in rows} <= {0.0, cfg.static_kappa}
+        assert len(calls) == 2 * len(cfg.rhos) * cfg.n_users
+
     def test_static_kappa_must_be_swept(self, tiny_sweep):
         cfg, result, _ = tiny_sweep
         with pytest.raises(ValueError):
@@ -192,6 +208,22 @@ class TestHeatmap:
         ortho_cfg = replace(cfg, orthogonal_pilots=True)
         ortho = ex.emit_csi_heatmap(ortho_cfg, 0.5, 30.0, 0, tmp_path / "ortho", sweep=result)
         assert Path(plain["original"]).read_bytes() != Path(ortho["original"]).read_bytes()
+
+    def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
+        cfg = tiny_config(kappas=(0.5, 0.7))
+        swept = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "swept", sweep=ex.run_sweep(cfg))
+        trainings = []
+        train = codec.train
+
+        def counting(*args, **kwargs):
+            trainings.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(codec, "train", counting)
+        alone = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "alone")
+        assert len(trainings) == 1
+        for label in ("original", "latent", "reconstructed"):
+            assert Path(alone[label]).read_bytes() == Path(swept[label]).read_bytes()
 
     def test_unknown_kappa_rejected(self, tiny_sweep, tmp_path):
         cfg, result, _ = tiny_sweep
@@ -253,6 +285,14 @@ class TestCli:
                 "heatmap", "--config", str(cfg_path), "--out", str(tmp_path / "grids"),
                 "--kappa", "0.5", "--rho", "30", "--user", "0", "--threads", "2",
             ])
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["sweep", "adaptive"])
+    def test_non_positive_threads_rejected(self, command, threads, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        ex.save_config(tiny_config(), cfg_path)
+        with pytest.raises(SystemExit):
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", threads])
 
     def test_adaptive_command(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -204,6 +204,30 @@ class TestWaterfill:
         with pytest.raises(ValueError):
             pl.waterfill([0.0, 0.0], noise_var=0.1, budget=1.0)
 
+    def test_rows_are_filled_independently(self):
+        rng = np.random.default_rng(8)
+        gains = rng.uniform(0.05, 2.0, size=(6, 4))
+        gains[1, 2] = gains[3, 0] = gains[3, 3] = 0.0
+        gains[4] = [3.0, 0.01, 0.02, 0.0]  # only the first mode clears the water level
+        noise_var, budget = 0.5, 1.0
+        powers = pl.waterfill(gains, noise_var, budget)
+        assert powers.shape == gains.shape
+        assert np.count_nonzero(powers[4]) == 1
+
+        with np.errstate(divide="ignore"):
+            floors = noise_var / gains**2
+        for row, p, f in zip(gains, powers, floors):
+            assert np.abs(p - pl.waterfill(row, noise_var, budget)).max() <= 1e-12
+            assert p.sum() == pytest.approx(budget, rel=1e-12)
+            level = p + f
+            active = p > 0
+            mu_star = level[active][0]
+            assert np.all(np.abs(level[active] - mu_star) < 1e-8 * mu_star)
+            assert np.all(f[~active] >= mu_star - 1e-12)
+
+        with pytest.raises(ValueError):
+            pl.waterfill(np.vstack([gains, np.zeros(4)]), noise_var, budget)
+
 
 class TestSvdPrecoder:
     def test_identity_channel(self):
