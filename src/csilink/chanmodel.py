@@ -10,6 +10,7 @@ at a fraction of their complexity. Two profile files transcribed from the
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -184,6 +185,25 @@ def ula_steering(n_elements: int, azimuth: float, zenith: float) -> np.ndarray:
     return steering_vector(UraGeometry(1, n_elements), azimuth, zenith)
 
 
+@functools.lru_cache(maxsize=16)
+def _cluster_terms(profile: CdlProfile, tx: UraGeometry, n_r: int, n_sc: int, delta_f: float):
+    """The seed-free factors of a realization: cluster amplitudes, delay
+    phasors over the subcarriers, rx steering and conjugated tx steering.
+    Cached and read-only, because every realization of a link shares them."""
+    a_rx = np.stack([ula_steering(n_r, c.aoa_az, c.aoa_zen) for c in profile.clusters])
+    a_tx_conj = np.stack([steering_vector(tx, c.aod_az, c.aod_zen) for c in profile.clusters]).conj()
+    delays = np.array([c.delay_s for c in profile.clusters])
+    # Unit-magnitude steering entries and unit cluster-power sum make the
+    # mean squared channel entry 1, so the SNR knob is per resource element.
+    amp = np.sqrt(np.array([c.power for c in profile.clusters]))
+    k = np.arange(n_sc)
+    freq = np.exp(-1j * TWO_PI * delays[:, None] * k[None, :] * delta_f)
+    terms = (amp, freq, a_rx, a_tx_conj)
+    for arr in terms:
+        arr.flags.writeable = False
+    return terms
+
+
 def _synthesize_from_phases(
     profile: CdlProfile,
     tx: UraGeometry,
@@ -192,17 +212,9 @@ def _synthesize_from_phases(
     delta_f: float,
     phases: np.ndarray,
 ) -> ChannelTensor:
-    n_t = tx.n_elements
-    a_rx = np.stack([ula_steering(n_r, c.aoa_az, c.aoa_zen) for c in profile.clusters])
-    a_tx = np.stack([steering_vector(tx, c.aod_az, c.aod_zen) for c in profile.clusters])
-    delays = np.array([c.delay_s for c in profile.clusters])
-    # Unit-magnitude steering entries and unit cluster-power sum make the
-    # mean squared channel entry 1, so the SNR knob is per resource element.
-    amp = np.sqrt(np.array([c.power for c in profile.clusters]))
+    amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
     gains = amp * np.exp(1j * phases)
-    k = np.arange(n_sc)
-    freq = np.exp(-1j * TWO_PI * delays[:, None] * k[None, :] * delta_f)
-    data = np.einsum("c,ck,cr,ct->krt", gains, freq, a_rx, a_tx.conj())
+    data = np.einsum("c,ck,cr,ct->krt", gains, freq, a_rx, a_tx_conj)
     return ChannelTensor(data)
 
 

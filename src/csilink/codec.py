@@ -15,6 +15,7 @@ Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ _HIDDEN = 10
 
 
 class WireFormatError(ValueError):
-    """Raised when compressed-CSI bytes do not parse."""
+    """Raised when compressed-CSI or model bytes do not parse."""
 
 
 @dataclass
@@ -179,13 +180,18 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
+def _sigmoid(x, out=None):
+    """Overflow-free logistic function, elementwise: 1/(1+exp(-x)) for x >= 0
+    and exp(x)/(1+exp(x)) otherwise, with e = exp(-|x|) shared by both.
+    Since e <= 1, max(e, x >= 0) is the numerator of either branch, which
+    selects without masked gathers. ``out`` may be ``x`` itself."""
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, pos)
+    e += 1.0
+    return np.divide(num, e, out=e)
 
 
 def ae_encode(model: AutoencoderModel, x) -> np.ndarray:
@@ -272,16 +278,26 @@ def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
     a1 = _relu(z1)
     z2 = a1 @ w[1] + b[1]
     a2 = _relu(z2)
-    z3 = a2 @ w[2] + b[2]  # latent, linear
+    # The batch-wide layers (latent and output) add their biases in place and
+    # the output layer reuses its batch x input_dim buffers, which dominate
+    # the cost; the operation order matches the textbook form
+    # ((c*diff)*y)*(1-y) bit for bit.
+    z3 = a2 @ w[2]  # latent, linear
+    z3 += b[2]
     z4 = z3 @ w[3] + b[3]
     a4 = _relu(z4)
-    z5 = a4 @ w[4] + b[4]
-    y = _sigmoid(z5)
+    z5 = a4 @ w[4]
+    z5 += b[4]
+    y = _sigmoid(z5, out=z5)
 
     diff = y - x
-    loss = float(np.sum(diff**2) / (n_complex * bsz))
+    buf = np.square(diff)
+    loss = float(np.sum(buf) / (n_complex * bsz))
 
-    d5 = (2.0 / (n_complex * bsz)) * diff * y * (1.0 - y)
+    d5 = np.multiply(2.0 / (n_complex * bsz), diff, out=diff)
+    d5 *= y
+    np.subtract(1.0, y, out=buf)
+    d5 *= buf
     gw5 = a4.T @ d5
     gb5 = d5.sum(axis=0)
     d4 = (d5 @ w[4].T) * (z4 > 0)
@@ -463,21 +479,35 @@ def save_model(model: AutoencoderModel, path):
         fh.write(struct.pack("<dd", model.norm_min, model.norm_max))
 
 
+def _read_section(stream, size: int, section: str) -> bytes:
+    data = stream.read(size)
+    if len(data) != size:
+        raise WireFormatError(f"model file truncated in {section}: {len(data)} of {size} bytes")
+    return data
+
+
 def load_model(path) -> AutoencoderModel:
+    """Inverse of save_model. Raises WireFormatError naming the section that
+    is short, and on bytes past the normalization stats."""
+    # Parsed from memory, so a corrupt shape cannot request a huge read.
     with open(path, "rb") as fh:
-        if fh.read(4) != MODEL_MAGIC:
-            raise WireFormatError("not a model file")
-        version, kappa, kappa_index = struct.unpack("<BdB", fh.read(10))
-        if version != 1:
-            raise WireFormatError(f"unsupported model version {version}")
-        dims = struct.unpack("<III", fh.read(12))
-        (n_layers,) = struct.unpack("<B", fh.read(1))
-        shapes = [struct.unpack("<II", fh.read(8)) for _ in range(n_layers)]
-        weights, biases = [], []
-        for fi, fo in shapes:
-            weights.append(np.frombuffer(fh.read(8 * fi * fo), dtype="<f8").reshape(fi, fo).copy())
-            biases.append(np.frombuffer(fh.read(8 * fo), dtype="<f8").copy())
-        norm_min, norm_max = struct.unpack("<dd", fh.read(16))
+        stream = io.BytesIO(fh.read())
+    if _read_section(stream, 4, "magic") != MODEL_MAGIC:
+        raise WireFormatError("not a model file")
+    version, kappa, kappa_index = struct.unpack("<BdB", _read_section(stream, 10, "header"))
+    if version != 1:
+        raise WireFormatError(f"unsupported model version {version}")
+    dims = struct.unpack("<III", _read_section(stream, 12, "dims"))
+    (n_layers,) = struct.unpack("<B", _read_section(stream, 1, "layer count"))
+    shapes = [struct.unpack("<II", _read_section(stream, 8, f"shape {i}")) for i in range(n_layers)]
+    weights, biases = [], []
+    for i, (fi, fo) in enumerate(shapes):
+        w = _read_section(stream, 8 * fi * fo, f"weights {i}")
+        weights.append(np.frombuffer(w, dtype="<f8").reshape(fi, fo).copy())
+        biases.append(np.frombuffer(_read_section(stream, 8 * fo, f"biases {i}"), dtype="<f8").copy())
+    norm_min, norm_max = struct.unpack("<dd", _read_section(stream, 16, "normalization stats"))
+    if stream.read(1):
+        raise WireFormatError("trailing bytes after the normalization stats")
     return AutoencoderModel(
         kappa=kappa,
         dims=dims,

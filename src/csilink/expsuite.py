@@ -407,6 +407,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
         os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, rows)
         write_csv(os.path.join(out_dir, "sweep_timing.csv"), TIMING_COLUMNS, timing)
+        for (name, kappa), history in histories.items():
+            emit_history(history, os.path.join(out_dir, f"history_{name}_{kappa}.csv"))
     return SweepResult(rows=rows, timing=timing, histories=histories, models=models)
 
 

@@ -11,6 +11,42 @@ def tiny_model(seed=0, kappa=0.5, dims=(2, 1, 2)):
     return codec.ae_init(kappa, dims, seed)
 
 
+def two_branch_sigmoid(x):
+    """The overflow-free logistic function in its textbook two-branch form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def textbook_backprop(model, x):
+    """Loss and gradients with one fresh temporary per elementwise step."""
+    w, b = model.weights, model.biases
+    n_complex = model.input_dim // 2
+    bsz = x.shape[0]
+    z1 = x @ w[0] + b[0]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ w[1] + b[1]
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ w[2] + b[2]
+    z4 = z3 @ w[3] + b[3]
+    a4 = np.maximum(z4, 0.0)
+    y = two_branch_sigmoid(a4 @ w[4] + b[4])
+    diff = y - x
+    loss = float(np.sum(diff**2) / (n_complex * bsz))
+    d5 = (2.0 / (n_complex * bsz)) * diff * y * (1.0 - y)
+    d4 = (d5 @ w[4].T) * (z4 > 0)
+    d3 = d4 @ w[3].T
+    d2 = (d3 @ w[2].T) * (z2 > 0)
+    d1 = (d2 @ w[1].T) * (z1 > 0)
+    grads = []
+    for a, d in ((x, d1), (a1, d2), (a2, d3), (z3, d4), (a4, d5)):
+        grads.extend([a.T @ d, d.sum(axis=0)])
+    return loss, grads
+
+
 class TestRealify:
     def test_definition(self):
         out = codec.realify(np.array([1 + 2j, 3 - 4j]))
@@ -168,6 +204,30 @@ class TestForwardPasses:
         with pytest.raises(ValueError):
             codec.ae_decode(model, np.zeros(model.latent_width + 1))
 
+    def test_decode_matches_two_branch_sigmoid_bit_for_bit(self):
+        # Pre-activations are set through the output bias: with a zero hidden
+        # layer, h @ w[4] + b[4] is b[4] itself. A -0 bias arrives as +0,
+        # because the matmul sums from +0; no public path can do otherwise.
+        edge = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0]
+        edge += [750.0, -750.0, 1e10, -1e10, 1e300, -1e300, np.finfo(float).max, -np.finfo(float).max]
+        rng = np.random.default_rng(21)
+        n_sc = 32
+        pre = np.concatenate([edge, rng.normal(scale=40.0, size=2 * n_sc - len(edge))])
+        edge_model = tiny_model(seed=22, dims=(n_sc, 1, 1))
+        edge_model.weights[3][:] = 0.0
+        edge_model.biases[4][:] = pre
+        random_model = tiny_model(seed=23, dims=(n_sc, 1, 1))
+        for b in random_model.biases:
+            b[:] = rng.normal(size=b.size)
+        for model in (edge_model, random_model):
+            z = rng.normal(scale=30.0, size=(5, model.latent_width))
+            w, b = model.weights, model.biases
+            with np.errstate(over="raise", invalid="raise"):
+                x = np.maximum(z @ w[3] + b[3], 0.0) @ w[4] + b[4]
+                expected = two_branch_sigmoid(x)
+                got = codec.ae_decode(model, z)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestMseLoss:
     def test_identical_inputs(self):
@@ -279,6 +339,26 @@ class TestBackprop:
                 denom = max(abs(fd), abs(g), 1e-8)
                 worst = max(worst, abs(fd - g) / denom)
         assert worst < 1e-4
+
+    # 26 is the last batch of a desk epoch: 410 training samples mod 128.
+    @pytest.mark.parametrize("bsz", [1, 26, 128])
+    def test_matches_textbook_oracle_bit_for_bit(self, bsz):
+        model = tiny_model(seed=16, dims=(16, 2, 4))
+        rng = np.random.default_rng(17)
+        for bias in model.biases:
+            bias[:] = rng.normal(scale=0.5, size=bias.size)
+        x = rng.uniform(size=(bsz, model.input_dim))
+        x_before = x.copy()
+        params_before = [p.copy() for p in model.params()]
+        loss, grads = codec.backprop(model, x)
+        assert np.array_equal(x, x_before)
+        for p, before in zip(model.params(), params_before):
+            assert np.array_equal(p, before)
+        want_loss, want_grads = textbook_backprop(model, x)
+        assert loss == want_loss
+        assert len(grads) == len(want_grads) == 10
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(g, want)
 
     def test_empty_batch_rejected(self):
         model = tiny_model()
@@ -448,6 +528,49 @@ class TestOverheadBits:
 
 
 class TestModelPersistence:
+    @staticmethod
+    def saved_model(tmp_path) -> bytes:
+        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
+        path = tmp_path / "model.bin"
+        codec.save_model(model, path)
+        return path.read_bytes()
+
+    # Offsets in the model above (64 inputs, latent 24): magic at 0, header
+    # at 4, dims at 14, layer count at 26, shapes at 27 (shape 4 at 59),
+    # weights 0 (64x10) at 67, biases 0 at 5187, biases 4 in the 96 bytes
+    # before the end and the normalization stats in the last 16. A negative
+    # cut counts from the end.
+    @pytest.mark.parametrize(
+        "cut, section",
+        [
+            (0, "magic"),
+            (3, "magic"),
+            (4, "header"),
+            (14, "dims"),
+            (26, "layer count"),
+            (27, "shape 0"),
+            (61, "shape 4"),
+            (67, "weights 0"),
+            (1000, "weights 0"),
+            (5187, "biases 0"),
+            (-96, "biases 4"),
+            (-16, "normalization stats"),
+            (-5, "normalization stats"),
+        ],
+    )
+    def test_truncated_file_names_the_short_section(self, tmp_path, cut, section):
+        blob = self.saved_model(tmp_path)
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(codec.WireFormatError, match=f"truncated in {section}:"):
+            codec.load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(self.saved_model(tmp_path) + b"\x00")
+        with pytest.raises(codec.WireFormatError, match="trailing bytes"):
+            codec.load_model(path)
+
     def test_save_load_exact(self, tmp_path):
         model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
         model.norm_min, model.norm_max = -3.25, 4.5

@@ -137,6 +137,21 @@ class TestRunSweep:
         ex.run_sweep(cfg, out_dir=out_b)
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_history_files_written(self, tmp_path):
+        cfg = tiny_config(profiles=("cdl_c", "cdl_e"), kappas=(0.5, 0.7), static_kappa=0.5)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        result = ex.run_sweep(cfg, out_dir=out_a)
+        ex.run_sweep(cfg, out_dir=out_b)
+        names = sorted(p.name for p in out_a.glob("history_*.csv"))
+        assert names == [f"history_{p}_{k}.csv" for p in ("CDL-C", "CDL-E") for k in (0.5, 0.7)]
+        for name in names:
+            lines = (out_a / name).read_text().splitlines()
+            assert lines[0] == "epoch,train_loss,val_loss"
+            assert len(lines) == 1 + cfg.train.epochs
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        ex.emit_history(result.histories[("CDL-C", 0.7)], tmp_path / "direct.csv")
+        assert (tmp_path / "direct.csv").read_bytes() == (out_a / "history_CDL-C_0.7.csv").read_bytes()
+
     def test_seed_changes_results(self, tmp_path):
         rows_a = ex.run_sweep(tiny_config()).rows
         rows_b = ex.run_sweep(tiny_config(master_seed=999)).rows
