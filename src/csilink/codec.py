@@ -150,6 +150,14 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
+def _layer_shapes(kappa: float, dims) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of the five layers for a ratio and CSI dims."""
+    n_sc, n_r, n_t = dims
+    m = 2 * n_sc * n_r * n_t
+    d = latent_dim(kappa, n_sc, n_r, n_t)
+    return [(m, _HIDDEN), (_HIDDEN, _HIDDEN), (_HIDDEN, d), (d, _HIDDEN), (_HIDDEN, m)]
+
+
 def ae_init(kappa: float, dims, seed, kappa_index: int = 0) -> AutoencoderModel:
     """Fresh model with Glorot-uniform weights and zero biases.
 
@@ -158,9 +166,7 @@ def ae_init(kappa: float, dims, seed, kappa_index: int = 0) -> AutoencoderModel:
     the layers whose shapes match (paired initialization across ratios).
     """
     n_sc, n_r, n_t = dims
-    m = 2 * n_sc * n_r * n_t
-    d = latent_dim(kappa, n_sc, n_r, n_t)
-    sizes = [(m, _HIDDEN), (_HIDDEN, _HIDDEN), (_HIDDEN, d), (d, _HIDDEN), (_HIDDEN, m)]
+    sizes = _layer_shapes(kappa, dims)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(len(sizes))
     weights = [_glorot(np.random.default_rng(s), fi, fo) for s, (fi, fo) in zip(streams, sizes)]
@@ -456,6 +462,10 @@ def deserialize(blob: bytes) -> LatentCsi:
         raise WireFormatError(f"unsupported version {version}")
     if bits not in SUPPORTED_LATENT_BITS:
         raise WireFormatError(f"unsupported bits-per-element {bits}")
+    if min(n_sc, n_r, n_t) == 0:
+        raise WireFormatError(f"zero dimension in dims {(n_sc, n_r, n_t)}")
+    if d_real == 0:
+        raise WireFormatError("empty latent")
     payload = blob[_WIRE_HEADER.size :]
     if len(payload) != 4 * d_real:
         raise WireFormatError(f"payload holds {len(payload)} bytes, expected {4 * d_real}")
@@ -488,7 +498,8 @@ def _read_section(stream, size: int, section: str) -> bytes:
 
 def load_model(path) -> AutoencoderModel:
     """Inverse of save_model. Raises WireFormatError naming the section that
-    is short, and on bytes past the normalization stats."""
+    is short, on a ratio, dims or layer stack that ae_init would not build,
+    and on bytes past the normalization stats."""
     # Parsed from memory, so a corrupt shape cannot request a huge read.
     with open(path, "rb") as fh:
         stream = io.BytesIO(fh.read())
@@ -497,9 +508,19 @@ def load_model(path) -> AutoencoderModel:
     version, kappa, kappa_index = struct.unpack("<BdB", _read_section(stream, 10, "header"))
     if version != 1:
         raise WireFormatError(f"unsupported model version {version}")
+    if not 0.0 < kappa < 1.0:
+        raise WireFormatError(f"compression ratio {kappa} outside (0, 1)")
     dims = struct.unpack("<III", _read_section(stream, 12, "dims"))
+    if min(dims) == 0:
+        raise WireFormatError(f"zero dimension in dims {dims}")
+    expected = _layer_shapes(kappa, dims)
     (n_layers,) = struct.unpack("<B", _read_section(stream, 1, "layer count"))
+    if n_layers != len(expected):
+        raise WireFormatError(f"model has {n_layers} layers, expected {len(expected)}")
     shapes = [struct.unpack("<II", _read_section(stream, 8, f"shape {i}")) for i in range(n_layers)]
+    for i, (got, want) in enumerate(zip(shapes, expected)):
+        if got != want:
+            raise WireFormatError(f"layer {i} has shape {got}, expected {want} for kappa {kappa} and dims {dims}")
     weights, biases = [], []
     for i, (fi, fo) in enumerate(shapes):
         w = _read_section(stream, 8 * fi * fo, f"weights {i}")

@@ -248,13 +248,17 @@ def _train_codec(cfg: ExperimentConfig, data: np.ndarray, profile_idx: int, kapp
     return CodecBundle(model=model, history=history)
 
 
-def _user_payload(cfg: ExperimentConfig, user: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _user_realization(
+    cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int, user: int
+) -> tuple[tuple[cm.ChannelTensor, np.ndarray], ...]:
+    """Per-block (true channel, payload share) pairs of one user. They do not
+    depend on the ratio or the SNR, so each is drawn once per process and
+    shared read-only by every point and the heatmap."""
     rng = np.random.default_rng(stream_seed(cfg.user_seed(user), _PAYLOAD))
-    return rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
-
-
-def _block_channels(cfg: ExperimentConfig, profile, profile_idx, user) -> list[cm.ChannelTensor]:
-    return cm.draw_block_fading(
+    payload = rng.integers(0, 2, size=cfg.payload_bits, dtype=np.uint8)
+    payload.flags.writeable = False
+    channels = cm.draw_block_fading(
         profile,
         cfg.ura,
         cfg.n_r,
@@ -263,6 +267,9 @@ def _block_channels(cfg: ExperimentConfig, profile, profile_idx, user) -> list[c
         stream_seed(cfg.user_seed(user), _CHANNEL, profile_idx),
         cfg.n_blocks,
     )
+    for h in channels:
+        h.data.flags.writeable = False
+    return tuple(zip(channels, np.array_split(payload, cfg.n_blocks)))
 
 
 def _estimate_channel(
@@ -304,14 +311,12 @@ def evaluate_point(
     """
     link_cfg = cfg.link_config(rho_db)
     noise_var = pl.noise_var_from_snr(link_cfg)
-    payload_blocks = np.array_split(_user_payload(cfg, user), cfg.n_blocks)
-    channels = _block_channels(cfg, profile, profile_idx, user)
     user_seed = cfg.user_seed(user)
 
     counts = ErrorCounts()
     mse_sum = 0.0
     watch = Stopwatch()
-    for block, (h_true, payload) in enumerate(zip(channels, payload_blocks)):
+    for block, (h_true, payload) in enumerate(_user_realization(cfg, profile, profile_idx, user)):
         h_est = _estimate_channel(cfg, h_true, noise_var, user, profile_idx, block)
         if model is None:
             h_rec = h_est
@@ -512,7 +517,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
         model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
 
     noise_var = pl.noise_var_from_snr(cfg.link_config(rho_db))
-    h_true = _block_channels(cfg, profile, 0, user)[0]
+    h_true = _user_realization(cfg, profile, 0, user)[0][0]
     h_est = _estimate_channel(cfg, h_true, noise_var, user, 0, 0)
     latent = codec.compress(model, h_est)
     h_rec = codec.decompress(model, latent)

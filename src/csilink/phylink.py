@@ -15,6 +15,7 @@ are broken toward the smaller 4-bit Gray label.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -107,27 +108,46 @@ def _as_poly_array(poly) -> np.ndarray:
         raise ValueError("poly must have degree >= 1")
     if p[0] != 1:
         raise ValueError("poly must have a leading 1 coefficient")
+    if np.any(p > 1):
+        raise ValueError("poly coefficients must be 0 or 1")
     return p
+
+
+@functools.lru_cache(maxsize=16)
+def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
+    """The CRC of an n_bits message as a linear map over GF(2): row j is
+    x^(n_bits-1-j+deg) mod poly, MSB first, so a message's remainder is the
+    mod-2 sum of the rows its set bits select (Sarwate, CACM 1988). Built
+    with a Python-int shift register in O(n_bits*deg) memory; cached and
+    read-only."""
+    deg = len(poly) - 1
+    g = int("".join(map(str, poly)), 2)
+    term = 1 << deg  # x^deg, the remainder of the last message bit
+    rows = []
+    for _ in range(n_bits):
+        if term >> deg:
+            term ^= g
+        rows.append(format(term, f"0{deg}b"))
+        term <<= 1
+    bits = np.frombuffer("".join(reversed(rows)).encode(), dtype=np.uint8) - ord("0")
+    m = bits.reshape(n_bits, deg).astype(np.float64)
+    m.flags.writeable = False
+    return m
 
 
 def crc_remainder_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
     """CRC remainders of message rows (each row times x^degree, mod poly).
 
-    Vectorized across rows with a column-stepped shift register.
+    One matrix product over all rows with the cached map of _crc_matrix;
+    the sums are integers <= n_bits < 2^53, so float64 is exact in any
+    summation order.
     """
     p = _as_poly_array(poly)
-    deg = p.size - 1
-    taps = p[1:].astype(np.uint8)
     rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
     if rows.shape[1] == 0:
         raise ValueError("messages must be non-empty")
-    reg = np.zeros((rows.shape[0], deg), dtype=np.uint8)
-    for j in range(rows.shape[1]):
-        feedback = reg[:, 0] ^ rows[:, j]
-        reg[:, :-1] = reg[:, 1:]
-        reg[:, -1] = 0
-        reg ^= feedback[:, None] * taps[None, :]
-    return reg
+    m = _crc_matrix(rows.shape[1], tuple(int(c) for c in p))
+    return (rows @ m % 2).astype(np.uint8)
 
 
 def crc_append(bits, poly=DEFAULT_CRC_POLY) -> np.ndarray:
@@ -142,9 +162,9 @@ def crc_append(bits, poly=DEFAULT_CRC_POLY) -> np.ndarray:
 def crc_check_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
     """Vectorized divisibility check over codeword rows (message + CRC bits).
 
-    The register runs the same shifted division as crc_remainder_many; since
-    the generator has a nonzero constant term, (block * x^deg) mod poly is
-    zero exactly when block mod poly is."""
+    Uses the shifted division of crc_remainder_many; since the generator has
+    a nonzero constant term, (block * x^deg) mod poly is zero exactly when
+    block mod poly is."""
     p = _as_poly_array(poly)
     rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
     if rows.shape[1] < p.size - 1:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -507,6 +508,17 @@ class TestWireFormat:
         with pytest.raises(codec.WireFormatError):
             codec.deserialize(blob[:-3])
 
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (4, 0, 2), (4, 2, 0)])
+    def test_zero_dimension_rejected(self, dims):
+        latent = codec.LatentCsi(np.ones(8, dtype=np.float32), 0, 32, dims)
+        with pytest.raises(codec.WireFormatError, match="zero dimension"):
+            codec.deserialize(codec.serialize(latent))
+
+    def test_empty_latent_rejected(self):
+        latent = codec.LatentCsi(np.zeros(0, dtype=np.float32), 0, 32, (4, 2, 2))
+        with pytest.raises(codec.WireFormatError, match="empty latent"):
+            codec.deserialize(codec.serialize(latent))
+
     def test_bad_magic_rejected(self):
         latent = codec.LatentCsi(np.ones(4, dtype=np.float32), 0, 32, (1, 2, 2))
         blob = bytearray(codec.serialize(latent))
@@ -585,3 +597,42 @@ class TestModelPersistence:
             assert np.array_equal(wa, wb)
         for ba, bb in zip(model.biases, back.biases):
             assert np.array_equal(ba, bb)
+
+    @staticmethod
+    def write_model(path, kappa, dims, shapes):
+        """A model file with the given header and layer shapes, zero weights."""
+        blob = codec.MODEL_MAGIC + struct.pack("<BdB", 1, kappa, 0) + struct.pack("<III", *dims)
+        blob += struct.pack("<B", len(shapes)) + b"".join(struct.pack("<II", *s) for s in shapes)
+        for fi, fo in shapes:
+            blob += bytes(8 * fi * fo + 8 * fo)
+        path.write_bytes(blob + struct.pack("<dd", 0.0, 1.0))
+
+    def test_zero_layer_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        self.write_model(path, 0.5, (2, 1, 2), [])
+        with pytest.raises(codec.WireFormatError, match="0 layers, expected 5"):
+            codec.load_model(path)
+
+    def test_latent_width_must_match_kappa(self, tmp_path):
+        # kappa 0.7 on 8 subcarriers keeps 3 of them: latent 2*2*2*3 = 24.
+        shapes = [(64, 10), (10, 10), (10, 32), (32, 10), (10, 64)]
+        path = tmp_path / "wide.bin"
+        self.write_model(path, 0.7, (8, 2, 2), shapes)
+        with pytest.raises(codec.WireFormatError, match=r"layer 2 has shape \(10, 32\), expected \(10, 24\)"):
+            codec.load_model(path)
+        shapes[2:4] = [(10, 24), (24, 10)]
+        self.write_model(path, 0.7, (8, 2, 2), shapes)
+        assert codec.load_model(path).latent_width == 24
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, -0.5, float("nan")])
+    def test_ratio_outside_unit_interval_rejected(self, tmp_path, kappa):
+        path = tmp_path / "ratio.bin"
+        self.write_model(path, kappa, (2, 1, 2), [(8, 10), (10, 10), (10, 2), (2, 10), (10, 8)])
+        with pytest.raises(codec.WireFormatError, match="compression ratio"):
+            codec.load_model(path)
+
+    def test_zero_dims_rejected(self, tmp_path):
+        path = tmp_path / "zero.bin"
+        self.write_model(path, 0.5, (0, 1, 2), [(0, 10), (10, 10), (10, 0), (0, 10), (10, 0)])
+        with pytest.raises(codec.WireFormatError, match="zero dimension"):
+            codec.load_model(path)

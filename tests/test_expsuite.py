@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csilink import chanmodel as cm
 from csilink import cli
 from csilink import codec
 from csilink import expsuite as ex
+from csilink import phylink as pl
 
 DESK_JSON = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -167,6 +169,53 @@ class TestRunSweep:
         assert ("CDL-E", 0.5) in result.models
         hist = result.histories[("CDL-E", 0.5)]
         assert hist.epochs == cfg.train.epochs
+
+
+class TestRealizations:
+    """Channels and payloads do not depend on the ratio or the SNR, so each
+    (profile, user) realization is drawn once and shared read-only."""
+
+    def test_sweep_draws_each_user_once(self, monkeypatch):
+        # A seed no other test uses, so no realization is cached yet.
+        cfg = tiny_config(profiles=("cdl_e", "cdl_c"), master_seed=424242)
+        draws = []
+        draw_block_fading = cm.draw_block_fading
+
+        def counting(*args, **kwargs):
+            draws.append(args)
+            return draw_block_fading(*args, **kwargs)
+
+        monkeypatch.setattr(cm, "draw_block_fading", counting)
+        ex.run_sweep(cfg)
+        assert len(draws) == len(cfg.profiles) * cfg.n_users
+
+    def test_realizations_are_read_only(self, monkeypatch):
+        cfg = tiny_config()
+        seen = []
+        run_link_once = pl.run_link_once
+
+        def recording(payload, h_true, *args, **kwargs):
+            seen.append((payload, h_true))
+            return run_link_once(payload, h_true, *args, **kwargs)
+
+        monkeypatch.setattr(pl, "run_link_once", recording)
+        ex.evaluate_point(cfg, ex.resolve_profile("cdl_e"), 0, None, 10.0, 0)
+        assert len(seen) == cfg.n_blocks
+        for payload, h_true in seen:
+            with pytest.raises(ValueError):
+                payload[0] ^= 1
+            with pytest.raises(ValueError):
+                h_true.data[0, 0, 0] = 0.0
+
+    def test_cold_and_warm_cache_agree(self, tiny_sweep):
+        cfg, result, _ = tiny_sweep
+        profile = ex.resolve_profile("cdl_e")
+        for model in (None, result.models[("CDL-E", 0.5)]):
+            ex._user_realization.cache_clear()
+            cold = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1)
+            warm = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1)
+            assert ex._user_realization.cache_info()[:2] == (1, 1)  # hits, misses
+            assert cold[:2] == warm[:2]
 
 
 class TestAdaptiveExperiment:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from csilink import chanmodel as cm
 from csilink import phylink as pl
@@ -65,7 +68,55 @@ class TestCrc:
             pl.crc_append(np.array([], dtype=np.uint8), POLY)
 
 
+def bit_rows(max_len=1100):
+    """Batches of 1-4 0/1 message rows of one random length."""
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, max_len))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.uint8, shape, elements=st.integers(0, 1)))
+
+
+def bit_vectors(max_len=300):
+    return hnp.arrays(np.uint8, st.integers(1, max_len), elements=st.integers(0, 1))
+
+
+class TestCrcProperties:
+    """The matrix form of the CRC against the long-division oracle."""
+
+    @given(bit_rows())
+    @example(np.ones((2, 506), dtype=np.uint8))
+    @example(np.eye(2, 512, k=511, dtype=np.uint8))
+    def test_remainders_match_long_division(self, rows):
+        rem = pl.crc_remainder_many(rows, POLY)
+        assert rem.dtype == np.uint8 and rem.shape == (rows.shape[0], 6)
+        for row, r in zip(rows, rem):
+            assert list(r) == crc_long_division(row)
+
+    @given(bit_vectors(max_len=1100))
+    def test_appended_codeword_checks(self, msg):
+        assert pl.crc_check_many(pl.crc_append(msg, POLY)[None, :], POLY)[0]
+
+    @given(bit_vectors())
+    def test_every_single_bit_flip_detected(self, msg):
+        coded = pl.crc_append(msg, POLY)
+        flipped = coded[None, :] ^ np.eye(coded.size, dtype=np.uint8)
+        assert not pl.crc_check_many(flipped, POLY).any()
+
+    @given(bit_rows(max_len=600))
+    def test_result_is_a_fresh_array(self, rows):
+        first = pl.crc_remainder_many(rows, POLY)
+        first ^= 1
+        second = pl.crc_remainder_many(rows, POLY)
+        assert [list(r) for r in second] == [crc_long_division(row) for row in rows]
+
+    def test_non_binary_poly_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            pl.crc_remainder_many(np.ones((1, 8), dtype=np.uint8), (1, 2, 1))
+
+
 class TestQam16:
+    @given(st.integers(1, 64).flatmap(lambda n: hnp.arrays(np.uint8, 4 * n, elements=st.integers(0, 1))))
+    def test_detect_inverts_modulate(self, bits):
+        assert np.array_equal(pl.qam16_detect(pl.qam16_modulate(bits)), bits)
+
     def test_all_zero_nibble_maps_to_corner(self):
         s = pl.qam16_modulate([0, 0, 0, 0])
         assert s[0] == pytest.approx((-3 - 3j) / math.sqrt(10))
