@@ -31,7 +31,6 @@ from .codec import (
 )
 from .adaptive import (
     NO_COMPRESSION,
-    MeasurementRecord,
     PolicyTable,
     SlotSchedule,
     build_dataset,
@@ -40,7 +39,7 @@ from .adaptive import (
     schedule_slots,
     select_kappa,
 )
-from .metrics import ErrorCounts, Stopwatch, ber, bler, merge
+from .metrics import ErrorCounts, Stopwatch, merge
 from .phylink import (
     LinkConfig,
     PilotBlock,

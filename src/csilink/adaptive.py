@@ -1,8 +1,8 @@
 """Adaptive compression-ratio policy.
 
-Link measurements are aggregated into a lookup table keyed by SNR bucket and
-compression ratio; for each bucket the policy picks the ratio with the lowest
-measured BLER among those meeting the BLER ceiling, falling back to
+The sweep rows of one channel are averaged into a table of mean BLER per
+(SNR, compression ratio); for each SNR the policy picks the ratio with the
+lowest mean BLER among those meeting the BLER ceiling, falling back to
 uncompressed feedback when nothing qualifies. Slot scheduling covers the two
 training/inference interleaving patterns (duty cycle, staggered) and a
 loss-threshold retraining trigger.
@@ -27,111 +27,33 @@ class PolicyError(LookupError):
     """Raised when the policy is asked about an unmeasured operating point."""
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    rho_db: float
-    kappa: float
-    ber: float
-    bler: float
-    exceeds_bmax: bool
-    channel_tag: str
-    user_seed: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.ber <= 1.0 and 0.0 <= self.bler <= 1.0):
-            raise ValueError("BER/BLER must lie in [0, 1]")
-
-
-def make_record(rho_db, kappa, ber, bler, channel_tag, user_seed, b_max=0.1) -> MeasurementRecord:
-    """Record constructor that derives the ceiling-exceeded flag."""
-    return MeasurementRecord(
-        rho_db=rho_db,
-        kappa=kappa,
-        ber=ber,
-        bler=bler,
-        exceeds_bmax=bler > b_max,
-        channel_tag=channel_tag,
-        user_seed=user_seed,
-    )
-
-
-@dataclass(frozen=True)
-class AggregateCell:
-    ber: float
-    bler: float
-    n_records: int
-
-
-@dataclass
-class MeasurementDataset:
-    """Mean BER/BLER per (channel tag, SNR bucket, ratio)."""
-
-    buckets: tuple[float, ...]
-    cells: dict[tuple[str, float, float], AggregateCell]
-
-    def tags(self) -> list[str]:
-        return sorted({tag for tag, _, _ in self.cells})
-
-    def resolve_tag(self, channel_tag=None) -> str:
-        """``channel_tag``, or the only tag when none is given."""
-        if channel_tag is not None:
-            return channel_tag
-        tags = self.tags()
-        if len(tags) != 1:
-            raise PolicyError("dataset covers several channels; pass channel_tag")
-        return tags[0]
-
-    def bucket_for(self, rho_db: float) -> float:
-        diffs = [abs(rho_db - b) for b in self.buckets]
-        return self.buckets[diffs.index(min(diffs))]
-
-    def cell(self, tag: str, bucket: float, kappa: float) -> AggregateCell:
-        return self.cells[(tag, bucket, kappa)]
-
-    def kappas(self, tag: str, bucket: float) -> list[float]:
-        return sorted(k for t, b, k in self.cells if t == tag and b == bucket)
-
-
-def build_dataset(records, buckets) -> MeasurementDataset:
-    """Group records by (channel tag, nearest SNR bucket, ratio) and average."""
-    dataset = MeasurementDataset(buckets=tuple(float(b) for b in buckets), cells={})
-    if not dataset.buckets:
-        raise ValueError("need at least one SNR bucket")
-    sums: dict[tuple[str, float, float], list[float]] = {}
-    for rec in records:
-        key = (rec.channel_tag, dataset.bucket_for(rec.rho_db), rec.kappa)
-        acc = sums.setdefault(key, [0.0, 0.0, 0])
-        acc[0] += rec.ber
-        acc[1] += rec.bler
-        acc[2] += 1
-    dataset.cells = {
-        key: AggregateCell(ber=s[0] / s[2], bler=s[1] / s[2], n_records=s[2])
-        for key, s in sorted(sums.items())
+def build_dataset(rows) -> dict[float, dict[float, float]]:
+    """Mean BLER of sweep rows per SNR and ratio, as {rho_db: {kappa: bler}}
+    with both levels in ascending order."""
+    sums: dict[float, dict[float, list]] = {}
+    for row in rows:
+        acc = sums.setdefault(row["rho_db"], {}).setdefault(row["kappa"], [0.0, 0])
+        acc[0] += row["bler"]
+        acc[1] += 1
+    return {
+        rho: {kappa: total / n for kappa, (total, n) in sorted(cells.items())}
+        for rho, cells in sorted(sums.items())
     }
-    return dataset
 
 
-def select_kappa(dataset: MeasurementDataset, rho_db: float, b_max: float = 0.1, channel_tag=None) -> float:
-    """Ratio with the lowest aggregated BLER among those with BLER <= b_max.
+def select_kappa(blers: dict[float, float], b_max: float = 0.1) -> float:
+    """Ratio with the lowest mean BLER among those with BLER <= b_max, from
+    one SNR's {kappa: bler}.
 
     Ties break toward the larger ratio (more compression at equal quality);
     when no ratio qualifies the NO_COMPRESSION sentinel is returned. Only
     compressed ratios (kappa > 0) are candidates.
     """
-    channel_tag = dataset.resolve_tag(channel_tag)
-    bucket = dataset.bucket_for(rho_db)
-    kappas = [k for k in dataset.kappas(channel_tag, bucket) if k > 0.0]
-    if not kappas:
-        raise PolicyError(
-            f"no measurements for channel {channel_tag!r} in the {bucket} dB bucket; measure first"
-        )
-    qualified = [
-        (dataset.cell(channel_tag, bucket, k).bler, -k, k) for k in kappas
-        if dataset.cell(channel_tag, bucket, k).bler <= b_max
-    ]
-    if not qualified:
-        return NO_COMPRESSION
-    return min(qualified)[2]
+    compressed = [(bler, -kappa, kappa) for kappa, bler in blers.items() if kappa > 0.0]
+    if not compressed:
+        raise PolicyError("no compressed-ratio measurements at this SNR; measure first")
+    qualified = [c for c in compressed if c[0] <= b_max]
+    return min(qualified)[2] if qualified else NO_COMPRESSION
 
 
 @dataclass(frozen=True)
@@ -145,7 +67,6 @@ class PolicyEntry:
 @dataclass
 class PolicyTable:
     entries: tuple[PolicyEntry, ...]
-    b_max: float
 
     def kappa_for(self, rho_db: float) -> float:
         for e in self.entries:
@@ -166,19 +87,19 @@ def bucket_edges(buckets) -> list[tuple[float, float]]:
     return edges
 
 
-def policy_table(dataset: MeasurementDataset, b_max: float = 0.1, channel_tag=None) -> PolicyTable:
-    """One chosen ratio per SNR bucket."""
-    tag = dataset.resolve_tag(channel_tag)
+def policy_table(dataset: dict[float, dict[float, float]], b_max: float = 0.1) -> PolicyTable:
+    """One chosen ratio per measured SNR. A baseline entry records the best
+    compressed BLER, the one that missed the ceiling."""
     entries = []
-    for (lo, hi), center in zip(bucket_edges(dataset.buckets), sorted(dataset.buckets)):
-        kappa = select_kappa(dataset, center, b_max=b_max, channel_tag=tag)
+    for (lo, hi), rho in zip(bucket_edges(dataset), sorted(dataset)):
+        blers = dataset[rho]
+        kappa = select_kappa(blers, b_max)
         if kappa == NO_COMPRESSION:
-            blers = [dataset.cell(tag, center, k).bler for k in dataset.kappas(tag, center) if k > 0]
-            measured = min(blers)
+            measured = min(bler for k, bler in blers.items() if k > 0.0)
         else:
-            measured = dataset.cell(tag, center, kappa).bler
+            measured = blers[kappa]
         entries.append(PolicyEntry(lo, hi, kappa, measured))
-    return PolicyTable(entries=tuple(entries), b_max=b_max)
+    return PolicyTable(entries=tuple(entries))
 
 
 def export_policy_csv(table: PolicyTable, path):
@@ -188,23 +109,6 @@ def export_policy_csv(table: PolicyTable, path):
         for e in table.entries:
             kappa = "baseline" if e.kappa == NO_COMPRESSION else repr(e.kappa)
             writer.writerow([repr(e.bucket_low_db), repr(e.bucket_high_db), kappa, repr(e.measured_bler)])
-
-
-def load_policy_csv(path, b_max: float = 0.1) -> PolicyTable:
-    entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            raw = row["kappa_or_baseline"]
-            kappa = NO_COMPRESSION if raw == "baseline" else float(raw)
-            entries.append(
-                PolicyEntry(
-                    bucket_low_db=float(row["bucket_low_db"]),
-                    bucket_high_db=float(row["bucket_high_db"]),
-                    kappa=kappa,
-                    measured_bler=float(row["measured_bler"]),
-                )
-            )
-    return PolicyTable(entries=tuple(entries), b_max=b_max)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,8 @@ class ExperimentConfig:
                 raise ValueError("compression ratios must lie strictly between 0 and 1")
         if len(set(self.kappas)) != len(self.kappas):
             raise ValueError(f"compression ratios must be unique, got {self.kappas}")
+        if len(set(self.rhos)) != len(self.rhos):
+            raise ValueError(f"SNR points must be unique, got {self.rhos}")
         if self.static_kappa not in self.kappas:
             raise ValueError("static_kappa must be one of the swept ratios")
         if self.adaptive_profile is not None:
@@ -385,12 +387,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
             model = models.get((profile.name, kappa))
             groups.append((cfg, profile, pidx, kappa, model))
 
+    # Both paths return the results in group order, the row order of sweep.csv.
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_group, groups))
     else:
         results = [_sweep_group(g) for g in groups]
-    results.sort(key=lambda item: (item[0][0], _kappa_order(cfg, item[0][1])))
 
     rows: list[dict] = []
     timing: list[dict] = []
@@ -417,10 +419,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
     return SweepResult(rows=rows, timing=timing, histories=histories, models=models)
 
 
-def _kappa_order(cfg: ExperimentConfig, kappa: float) -> int:
-    return 0 if kappa == 0.0 else 1 + cfg.kappas.index(kappa)
-
-
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -435,27 +433,11 @@ def write_csv(path, columns, rows):
             writer.writerow([_format_cell(row[c]) for c in columns])
 
 
-def sweep_records(cfg: ExperimentConfig, rows) -> list[ad.MeasurementRecord]:
-    """Sweep rows as policy measurement records (baseline rows included)."""
-    return [
-        ad.make_record(
-            rho_db=row["rho_db"],
-            kappa=row["kappa"],
-            ber=row["ber"],
-            bler=row["bler"],
-            channel_tag=row["profile"],
-            user_seed=row["user_seed"],
-            b_max=cfg.b_max,
-        )
-        for row in rows
-    ]
-
-
 def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: SweepResult):
     """Adaptive ratio selection versus the static and uncompressed baselines.
 
-    The policy table is built from the measurements of ``sweep``, a
-    run_sweep result for the same config; the three traces are then
+    The policy table is built from the adaptive profile's rows of ``sweep``,
+    a run_sweep result for the same config; the three traces are then
     evaluated on fresh, paired realizations (identical channels, noise and
     payloads for all three schemes at each SNR point).
     """
@@ -464,8 +446,8 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     profile_idx = names.index(cfg.adaptive_profile) if cfg.adaptive_profile is not None else 0
     profile, profile_name = profiles[profile_idx], names[profile_idx]
 
-    dataset = ad.build_dataset(sweep_records(cfg, sweep.rows), buckets=cfg.rhos)
-    table = ad.policy_table(dataset, b_max=cfg.b_max, channel_tag=profile_name)
+    dataset = ad.build_dataset(row for row in sweep.rows if row["profile"] == profile_name)
+    table = ad.policy_table(dataset, b_max=cfg.b_max)
 
     # The traces share seeds, so a point that two traces pick runs once.
     @functools.cache

@@ -1,4 +1,5 @@
-"""Error-rate bookkeeping: BER, BLER, mergeable counters, wall-clock sections."""
+"""Error-rate bookkeeping: mergeable bit/block error counters with their
+BER, BLER and standard errors, and wall-clock sections."""
 
 from __future__ import annotations
 
@@ -6,8 +7,6 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,30 +56,6 @@ def rate_stderr(p: float, n: int) -> float:
     if n <= 0:
         return 0.0
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-def ber(tx_bits, rx_bits) -> float:
-    """Fraction of bit positions received incorrectly.
-
-    Both arguments are (n_transmissions, codeword_len) arrays, or 1-D arrays
-    treated as a single transmission.
-    """
-    tx = np.atleast_2d(np.asarray(tx_bits))
-    rx = np.atleast_2d(np.asarray(rx_bits))
-    if tx.shape != rx.shape:
-        raise ValueError(f"shape mismatch {tx.shape} vs {rx.shape}")
-    if tx.size == 0:
-        raise ValueError("need at least one transmission")
-    return float(np.mean(tx != rx))
-
-
-def bler(crc_ok) -> float:
-    """Fraction of codewords whose CRC check failed. ``crc_ok`` holds one
-    pass/fail boolean per transmission (True = matched)."""
-    ok = np.asarray(crc_ok, dtype=bool)
-    if ok.size == 0:
-        raise ValueError("need at least one transmission")
-    return float(np.mean(~ok))
 
 
 class Stopwatch:

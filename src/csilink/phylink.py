@@ -108,6 +108,8 @@ def _as_poly_array(poly) -> np.ndarray:
         raise ValueError("poly must have degree >= 1")
     if p[0] != 1:
         raise ValueError("poly must have a leading 1 coefficient")
+    if p[-1] != 1:
+        raise ValueError("poly must have a constant term of 1")
     if np.any(p > 1):
         raise ValueError("poly coefficients must be 0 or 1")
     return p
@@ -162,9 +164,9 @@ def crc_append(bits, poly=DEFAULT_CRC_POLY) -> np.ndarray:
 def crc_check_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
     """Vectorized divisibility check over codeword rows (message + CRC bits).
 
-    Uses the shifted division of crc_remainder_many; since the generator has
-    a nonzero constant term, (block * x^deg) mod poly is zero exactly when
-    block mod poly is."""
+    Uses the shifted division of crc_remainder_many; since _as_poly_array
+    requires a nonzero constant term, (block * x^deg) mod poly is zero
+    exactly when block mod poly is."""
     p = _as_poly_array(poly)
     rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
     if rows.shape[1] < p.size - 1:

@@ -1,132 +1,85 @@
+import csv
+
 import numpy as np
 import pytest
 
 from csilink import adaptive as ad
 
 
-def record(rho, kappa, bler, tag="CDL-X", ber=None, user=0):
-    return ad.make_record(
-        rho_db=rho,
-        kappa=kappa,
-        ber=bler / 2 if ber is None else ber,
-        bler=bler,
-        channel_tag=tag,
-        user_seed=user,
-    )
+def row(rho, kappa, bler):
+    """The sweep-row fields the policy reads."""
+    return {"rho_db": rho, "kappa": kappa, "bler": bler}
 
 
-BUCKETS = (0.0, 5.0, 10.0)
-
-
-class TestMeasurementRecord:
-    def test_flag_matches_ceiling(self):
-        assert record(0, 0.5, 0.2).exceeds_bmax
-        assert not record(0, 0.5, 0.05).exceeds_bmax
-        assert not record(0, 0.5, 0.1).exceeds_bmax  # boundary: not exceeded
-
-    def test_rates_validated(self):
-        with pytest.raises(ValueError):
-            ad.MeasurementRecord(0, 0.5, ber=1.5, bler=0.1, exceeds_bmax=False,
-                                 channel_tag="x", user_seed=0)
+RHOS = (0.0, 5.0, 10.0)
 
 
 class TestBuildDataset:
     def test_two_records_average(self):
-        ds = ad.build_dataset(
-            [record(5.0, 0.5, 0.0), record(5.0, 0.5, 0.2)], buckets=BUCKETS
-        )
-        cell = ds.cell("CDL-X", 5.0, 0.5)
-        assert cell.bler == pytest.approx(0.1)
-        assert cell.n_records == 2
+        ds = ad.build_dataset([row(5.0, 0.5, 0.0), row(5.0, 0.5, 0.2)])
+        assert ds[5.0][0.5] == pytest.approx(0.1)
 
     def test_single_record_passthrough(self):
-        ds = ad.build_dataset([record(10.0, 0.1, 0.33)], buckets=BUCKETS)
-        cell = ds.cell("CDL-X", 10.0, 0.1)
-        assert cell.bler == pytest.approx(0.33)
-        assert cell.n_records == 1
-
-    def test_nearest_bucket_assignment(self):
-        ds = ad.build_dataset([record(6.9, 0.5, 0.4)], buckets=BUCKETS)
-        assert ("CDL-X", 5.0, 0.5) in ds.cells
+        ds = ad.build_dataset([row(10.0, 0.1, 0.33)])
+        assert ds[10.0][0.1] == pytest.approx(0.33)
 
     def test_empty_input_is_valid(self):
-        ds = ad.build_dataset([], buckets=BUCKETS)
-        assert ds.cells == {}
+        assert ad.build_dataset([]) == {}
 
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(1)
         kappas = (0.1, 0.5, 0.7)
-        records = [
-            record(
-                float(rng.choice(BUCKETS)) + float(rng.uniform(-1, 1)),
-                float(rng.choice(kappas)),
-                float(rng.uniform(0, 1)),
-                tag=str(rng.choice(["A", "B"])),
-                user=int(rng.integers(0, 5)),
-            )
+        rows = [
+            row(float(rng.choice(RHOS)), float(rng.choice(kappas)), float(rng.uniform(0, 1)))
             for _ in range(1000)
         ]
-        ds = ad.build_dataset(records, buckets=BUCKETS)
+        ds = ad.build_dataset(rows)
 
         groups = {}
-        for r in records:
-            bucket = min(BUCKETS, key=lambda b: abs(r.rho_db - b))
-            groups.setdefault((r.channel_tag, bucket, r.kappa), []).append(r)
-        assert set(ds.cells) == set(groups)
-        for key, rows in groups.items():
-            assert ds.cells[key].bler == pytest.approx(np.mean([r.bler for r in rows]))
-            assert ds.cells[key].ber == pytest.approx(np.mean([r.ber for r in rows]))
-            assert ds.cells[key].n_records == len(rows)
+        for r in rows:
+            groups.setdefault((r["rho_db"], r["kappa"]), []).append(r)
+        assert {(rho, k) for rho, cells in ds.items() for k in cells} == set(groups)
+        for (rho, k), members in groups.items():
+            assert ds[rho][k] == pytest.approx(np.mean([r["bler"] for r in members]))
 
     def test_deterministic_ordering(self):
-        records = [record(0.0, k, 0.1 * i) for i, k in enumerate((0.7, 0.1, 0.5))]
-        a = ad.build_dataset(records, BUCKETS)
-        b = ad.build_dataset(list(reversed(records)), BUCKETS)
-        assert list(a.cells) == list(b.cells)
+        rows = [row(rho, k, 0.1 * i) for i, (rho, k) in enumerate(((5.0, 0.7), (0.0, 0.1), (0.0, 0.5)))]
+        a = ad.build_dataset(rows)
+        b = ad.build_dataset(list(reversed(rows)))
+        def order(ds):
+            return [(rho, list(cells)) for rho, cells in ds.items()]
 
-
-def table_dataset(cells, tag="CDL-X", buckets=(10.0,)):
-    records = []
-    for kappa, bler in cells.items():
-        records.append(record(buckets[0], kappa, bler, tag=tag))
-    return ad.build_dataset(records, buckets=buckets)
+        assert order(a) == order(b)
 
 
 class TestSelectKappa:
     def test_constrained_argmin(self):
-        ds = table_dataset({0.1: 0.05, 0.5: 0.02, 0.7: 0.3})
-        assert ad.select_kappa(ds, 10.0, b_max=0.1) == 0.5
+        assert ad.select_kappa({0.1: 0.05, 0.5: 0.02, 0.7: 0.3}, b_max=0.1) == 0.5
 
     def test_all_above_ceiling_falls_back(self):
-        ds = table_dataset({0.1: 0.2, 0.5: 0.3, 0.7: 0.9})
-        assert ad.select_kappa(ds, 10.0, b_max=0.1) == ad.NO_COMPRESSION
+        assert ad.select_kappa({0.1: 0.2, 0.5: 0.3, 0.7: 0.9}, b_max=0.1) == ad.NO_COMPRESSION
 
     def test_tie_breaks_toward_more_compression(self):
-        ds = table_dataset({0.1: 0.02, 0.5: 0.02})
-        assert ad.select_kappa(ds, 10.0, b_max=0.1) == 0.5
+        assert ad.select_kappa({0.1: 0.02, 0.5: 0.02}, b_max=0.1) == 0.5
 
     def test_baseline_rows_are_not_candidates(self):
-        ds = table_dataset({0.0: 0.0, 0.1: 0.05})
-        assert ad.select_kappa(ds, 10.0, b_max=0.1) == 0.1
+        assert ad.select_kappa({0.0: 0.0, 0.1: 0.05}, b_max=0.1) == 0.1
 
-    def test_missing_bucket_errors(self):
-        ds = table_dataset({0.1: 0.05})
+    def test_no_compressed_measurement_errors(self):
         with pytest.raises(ad.PolicyError):
-            ad.select_kappa(ds, 10.0, channel_tag="unknown")
+            ad.select_kappa({0.0: 0.0})
 
     def test_unconstrained_via_unit_ceiling(self):
-        ds = table_dataset({0.1: 0.4, 0.5: 0.6, 0.7: 0.2})
-        assert ad.select_kappa(ds, 10.0, b_max=1.0) == 0.7
+        assert ad.select_kappa({0.1: 0.4, 0.5: 0.6, 0.7: 0.2}, b_max=1.0) == 0.7
 
 
 class TestPolicyTable:
     def test_buckets_partition_and_export_round_trip(self, tmp_path):
-        records = [record(r, k, b)
-                   for r, cells in ((0.0, {0.1: 0.5, 0.5: 0.6}), (5.0, {0.1: 0.05, 0.5: 0.3}),
-                                    (10.0, {0.1: 0.01, 0.5: 0.004}))
-                   for k, b in cells.items()]
-        ds = ad.build_dataset(records, buckets=BUCKETS)
-        table = ad.policy_table(ds, b_max=0.1)
+        rows = [row(r, k, b)
+                for r, cells in ((0.0, {0.1: 0.5, 0.5: 0.6}), (5.0, {0.1: 0.05, 0.5: 0.3}),
+                                 (10.0, {0.1: 0.01, 0.5: 0.004}))
+                for k, b in cells.items()]
+        table = ad.policy_table(ad.build_dataset(rows), b_max=0.1)
         assert [e.kappa for e in table.entries] == [ad.NO_COMPRESSION, 0.1, 0.5]
         assert table.kappa_for(-3.0) == ad.NO_COMPRESSION
         assert table.kappa_for(7.4) == 0.1
@@ -134,8 +87,22 @@ class TestPolicyTable:
 
         path = tmp_path / "policy.csv"
         ad.export_policy_csv(table, path)
-        back = ad.load_policy_csv(path)
-        assert back.entries == table.entries
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert fh.read() == (
+                "bucket_low_db,bucket_high_db,kappa_or_baseline,measured_bler\r\n"
+                "-inf,2.5,baseline,0.5\r\n"
+                "2.5,7.5,0.1,0.05\r\n"
+                "7.5,inf,0.5,0.004\r\n"
+            )
+        with open(path, newline="", encoding="utf-8") as fh:
+            back = [
+                ad.PolicyEntry(float(r["bucket_low_db"]), float(r["bucket_high_db"]),
+                               ad.NO_COMPRESSION if r["kappa_or_baseline"] == "baseline"
+                               else float(r["kappa_or_baseline"]),
+                               float(r["measured_bler"]))
+                for r in csv.DictReader(fh)
+            ]
+        assert tuple(back) == table.entries
 
 
 class TestScheduleSlots:
@@ -205,10 +172,9 @@ class TestInvalidation:
 class TestRunAdaptive:
     def test_policy_collapse_to_dominant_ratio(self):
         rhos = (0.0, 5.0, 10.0)
-        records = [record(r, k, bler)
-                   for r in rhos
-                   for k, bler in ((0.1, 0.08), (0.5, 0.01), (0.7, 0.2))]
-        ds = ad.build_dataset(records, buckets=rhos)
+        ds = ad.build_dataset([row(r, k, bler)
+                               for r in rhos
+                               for k, bler in ((0.1, 0.08), (0.5, 0.01), (0.7, 0.2))])
 
         measured = {(0.5, r): (0.01 + r / 1000, 0.001) for r in rhos}
 
@@ -223,10 +189,9 @@ class TestRunAdaptive:
     def test_never_selects_ratio_violating_ceiling(self):
         rng = np.random.default_rng(2)
         rhos = (0.0, 5.0, 10.0)
-        records = [record(r, k, float(rng.uniform(0, 1)))
-                   for r in rhos for k in (0.1, 0.5, 0.7) for _ in range(3)]
-        ds = ad.build_dataset(records, buckets=rhos)
+        ds = ad.build_dataset([row(r, k, float(rng.uniform(0, 1)))
+                               for r in rhos for k in (0.1, 0.5, 0.7) for _ in range(3)])
         decisions = ad.run_adaptive(ad.policy_table(ds, b_max=0.1), rhos, lambda k, r: (0.0, 0.0))
         for d in decisions:
             if d.kappa != ad.NO_COMPRESSION:
-                assert ds.cell("CDL-X", d.rho_db, d.kappa).bler <= 0.1
+                assert ds[d.rho_db][d.kappa] <= 0.1

@@ -77,6 +77,7 @@ class TestConfig:
             pytest.param(dict(rhos=()), "SNR point", id="no_snr"),
             pytest.param(dict(n_users=0), "one user", id="no_users"),
             pytest.param(dict(kappas=(0.5, 0.5)), "unique", id="duplicate_kappas"),
+            pytest.param(dict(rhos=(10.0, 10.0, 30.0)), "SNR points must be unique", id="duplicate_rhos"),
             pytest.param(dict(n_blocks=0), "fading block", id="no_blocks"),
             pytest.param(dict(profiles=()), "channel profile", id="no_profiles"),
             pytest.param(dict(n_pilot=3), "n_pilot >= n_t", id="fewer_pilots_than_tx"),

@@ -6,48 +6,6 @@ import pytest
 from csilink import metrics as mt
 
 
-class TestBer:
-    def test_identical_streams(self):
-        bits = np.ones((3, 8), dtype=np.uint8)
-        assert mt.ber(bits, bits) == 0.0
-
-    def test_complemented_streams(self):
-        bits = np.zeros((2, 16), dtype=np.uint8)
-        assert mt.ber(bits, 1 - bits) == 1.0
-
-    def test_counting_reference(self):
-        tx = np.zeros((3, 4), dtype=np.uint8)
-        rx = tx.copy()
-        rx[1, 0] = 1
-        rx[2, :2] = 1
-        assert mt.ber(tx, rx) == pytest.approx(3 / 12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mt.ber(np.zeros((2, 4)), np.zeros((2, 5)))
-
-    def test_random_guess_band(self):
-        rng = np.random.default_rng(0)
-        tx = rng.integers(0, 2, size=200_000)
-        rx = rng.integers(0, 2, size=200_000)
-        assert 0.48 <= mt.ber(tx, rx) <= 0.52
-
-
-class TestBler:
-    def test_all_pass(self):
-        assert mt.bler([True, True, True]) == 0.0
-
-    def test_all_fail(self):
-        assert mt.bler([False, False]) == 1.0
-
-    def test_mixed_flags(self):
-        assert mt.bler([True, False, False, True]) == 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mt.bler([])
-
-
 class TestErrorCounts:
     def test_merge_identity(self):
         a = mt.ErrorCounts(3, 10, 1, 2)
@@ -82,6 +40,12 @@ class TestErrorCounts:
         # merge-then-compute equals totals-weighted average of the parts.
         weighted = sum(p.ber * p.bits_total for p in parts) / folded.bits_total
         assert folded.ber == pytest.approx(weighted)
+
+    def test_counting_reference(self):
+        # 3 of 12 bits wrong, spread over 2 of 3 blocks.
+        c = mt.ErrorCounts(bit_errors=3, bits_total=12, block_errors=2, blocks_total=3)
+        assert c.ber == pytest.approx(3 / 12)
+        assert c.bler == pytest.approx(2 / 3)
 
     def test_rates_in_unit_interval(self):
         c = mt.ErrorCounts(5, 10, 1, 4)

@@ -111,6 +111,16 @@ class TestCrcProperties:
         with pytest.raises(ValueError, match="0 or 1"):
             pl.crc_remainder_many(np.ones((1, 8), dtype=np.uint8), (1, 2, 1))
 
+    def test_poly_without_constant_term_rejected(self):
+        # Without the x^0 term, "remainder zero" no longer means "divisible":
+        # (1, 0) would pass every block.
+        rows = np.random.default_rng(5).integers(0, 2, size=(200, 12), dtype=np.uint8)
+        for poly in ((1, 0), (1, 0, 0, 1, 0)):
+            with pytest.raises(ValueError, match="constant term"):
+                pl.crc_check_many(rows, poly)
+            with pytest.raises(ValueError, match="constant term"):
+                pl.crc_remainder_many(rows, poly)
+
 
 class TestQam16:
     @given(st.integers(1, 64).flatmap(lambda n: hnp.arrays(np.uint8, 4 * n, elements=st.integers(0, 1))))
