@@ -1,6 +1,6 @@
 """The benchmark in bench/ wraps simulator functions by module attribute and
 reads some of their arguments by name; these checks fail when a refactor
-renames or drops one of them."""
+renames or drops one of them, or calls a stage under another name."""
 
 import importlib.util
 import inspect
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from csilink import expsuite as es
 
 DESK = Path(__file__).resolve().parent.parent / "bench" / "desk.py"
 
@@ -45,3 +47,36 @@ def test_hooked_arguments_exist(desk, attr, arguments):
     (module,) = [m for m, a, *_ in desk.LAYERS if a == attr]
     parameters = inspect.signature(getattr(module, attr)).parameters
     assert [a for a in arguments if a not in parameters] == []
+
+
+def test_link_stages_are_reached_through_their_module_attributes(desk, monkeypatch):
+    """The tracer times a stage by wrapping its module attribute, so a stage
+    that the evaluation reaches under another name reads as zero self time."""
+    cfg = es.ExperimentConfig(
+        profiles=("cdl_e",), n_sc=16, n_r=2, ura_rows=2, ura_cols=2, n_pilot=8, kappas=(0.5,),
+        rhos=(30.0,), n_users=1, payload_bits=4000, n_blocks=1,
+        train=es.TrainSettings(epochs=2, batch_size=16, dataset_size=16),
+    )
+    profile = es.resolve_profile("cdl_e")
+    model = es.train_codec_family(cfg, profile, 0)[0.5].model
+    es._user_realization.cache_clear()
+
+    calls = {}
+    for module, attr, *_ in desk.LAYERS:
+        if module.__name__.rsplit(".", 1)[-1] in ("phylink", "chanmodel", "codec"):
+            original = getattr(module, attr)
+            calls[attr] = 0
+
+            def counting(*args, _attr=attr, _original=original, **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counting)
+
+    es.evaluate_point(cfg, profile, 0, model, 30.0, 0)
+    stages = (
+        "generate_pilots", "observe_pilots", "ls_estimate", "svd_precoder", "waterfill",
+        "frame_codewords", "crc_remainder_many", "qam16_modulate", "qam16_detect", "crc_check_many",
+        "run_link_once", "draw_block_fading", "compress", "decompress",
+    )
+    assert [s for s in stages if not calls[s]] == []

@@ -35,6 +35,20 @@ def tiny_config(**overrides):
     return ex.ExperimentConfig(**base)
 
 
+def record_calls(monkeypatch, module, attr):
+    """Replace ``module.attr`` with a pass-through that records each call's
+    positional arguments; returns the list of records."""
+    calls = []
+    original = getattr(module, attr)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, recording)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def tiny_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
@@ -190,33 +204,67 @@ class TestRealizations:
         ex.run_sweep(cfg)
         assert len(draws) == len(cfg.profiles) * cfg.n_users
 
+    def test_sweep_draws_each_user_once_beyond_cache_size(self, monkeypatch):
+        """With more users than cached realizations, each (profile, ratio)
+        group still draws each user once, not once per SNR."""
+        cfg = tiny_config(n_users=33)
+        ex._user_realization.cache_clear()
+        draws = record_calls(monkeypatch, cm, "draw_block_fading")
+        ex.run_sweep(cfg)
+        assert len(draws) == (1 + len(cfg.kappas)) * cfg.n_users
+
     def test_realizations_are_read_only(self, monkeypatch):
         cfg = tiny_config()
-        seen = []
-        run_link_once = pl.run_link_once
-
-        def recording(payload, h_true, *args, **kwargs):
-            seen.append((payload, h_true))
-            return run_link_once(payload, h_true, *args, **kwargs)
-
-        monkeypatch.setattr(pl, "run_link_once", recording)
+        seen = record_calls(monkeypatch, pl, "run_link_once")
         ex.evaluate_point(cfg, ex.resolve_profile("cdl_e"), 0, None, 10.0, 0)
         assert len(seen) == cfg.n_blocks
-        for payload, h_true in seen:
+        for payload, h_true, h_recon, *_ in seen:
             with pytest.raises(ValueError):
                 payload[0] ^= 1
             with pytest.raises(ValueError):
                 h_true.data[0, 0, 0] = 0.0
+            # The baseline hands over the shared estimate itself.
+            with pytest.raises(ValueError):
+                h_recon.data[0, 0, 0] = 0.0
 
-    def test_cold_and_warm_cache_agree(self, tiny_sweep):
+    def test_cold_and_warm_cache_agree(self, tiny_sweep, monkeypatch):
         cfg, result, _ = tiny_sweep
         profile = ex.resolve_profile("cdl_e")
+        estimates = record_calls(monkeypatch, pl, "ls_estimate")
         for model in (None, result.models[("CDL-E", 0.5)]):
             ex._user_realization.cache_clear()
             cold = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1)
+            assert len(estimates) == cfg.n_blocks
             warm = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1)
+            assert len(estimates) == cfg.n_blocks
             assert ex._user_realization.cache_info()[:2] == (1, 1)  # hits, misses
             assert cold[:2] == warm[:2]
+            estimates.clear()
+
+
+class TestSharedEstimates:
+    """The LS estimate of a (profile, user, block) at one SNR does not depend
+    on the ratio, so the baseline, every ratio, the adaptive traces and the
+    heatmap share one."""
+
+    def test_sweep_estimates_once_per_snr_and_adaptive_reuses_them(self, monkeypatch):
+        cfg = tiny_config(profiles=("cdl_e", "cdl_c"), kappas=(0.5, 0.7), static_kappa=0.5)
+        ex._user_realization.cache_clear()
+        estimates = record_calls(monkeypatch, pl, "ls_estimate")
+        sweep = ex.run_sweep(cfg)
+        assert len(estimates) == len(cfg.profiles) * len(cfg.rhos) * cfg.n_users * cfg.n_blocks
+        estimates.clear()
+        ex.run_adaptive_experiment(cfg, sweep=sweep)
+        assert estimates == []
+
+    def test_heatmap_cold_and_warm_agree(self, tiny_sweep, tmp_path):
+        cfg, result, _ = tiny_sweep
+        ex._user_realization.cache_clear()
+        cold = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "cold", sweep=result)
+        warm = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "warm", sweep=result)
+        assert ex._user_realization.cache_info()[:2] == (1, 1)  # hits, misses
+        for label in ("original", "latent", "reconstructed"):
+            assert Path(cold[label]).read_bytes() == Path(warm[label]).read_bytes()
 
 
 class TestAdaptiveExperiment:

@@ -184,6 +184,23 @@ class TestPilots:
         with pytest.raises(ValueError):
             pl.generate_pilots(3, 4, 0)
 
+    @pytest.mark.parametrize("n_pilot, n_t", [(8, 4), (5, 4), (4, 4), (64, 16)])
+    def test_condition_check_alone_matches_rank_and_condition(self, n_pilot, n_t):
+        """The resampling rule needs no separate rank test: the pilots equal
+        those of a loop that requires full column rank and cond <= 1e3."""
+
+        def oracle(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(32):
+                quad = rng.integers(0, 4, size=(n_pilot, n_t))
+                x = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * quad))
+                if np.linalg.matrix_rank(x) == n_t and np.linalg.cond(x) <= 1e3:
+                    return x
+            raise AssertionError("no well-conditioned draw")
+
+        for seed in range(200):
+            assert np.array_equal(pl.generate_pilots(n_pilot, n_t, seed), oracle(seed))
+
 
 def random_channel(rng, n_sc, n_r, n_t):
     data = rng.normal(size=(n_sc, n_r, n_t)) + 1j * rng.normal(size=(n_sc, n_r, n_t))
