@@ -6,6 +6,12 @@ one rank-one ray per cluster with an i.i.d. random phase, which keeps the
 sparsity and subcarrier-correlation structure of the standardized CDL models
 at a fraction of their complexity. Two profile files transcribed from the
 3GPP TR 38.901 delay tables ship with the package (CDL-C, CDL-E).
+
+A realization is the sum over clusters of gain x delay phasor x rx steering
+x conjugate tx steering. The seed-free factors are cached per link geometry,
+and the (cluster, subcarrier, rx) product is formed once per realization
+rather than once per tx antenna. It is multiplied with unfused real
+arithmetic, so the channel equals the four-operand einsum bit for bit.
 """
 
 from __future__ import annotations
@@ -214,8 +220,20 @@ def _synthesize_from_phases(
 ) -> ChannelTensor:
     amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
     gains = amp * np.exp(1j * phases)
-    data = np.einsum("c,ck,cr,ct->krt", gains, freq, a_rx, a_tx_conj)
-    return ChannelTensor(data)
+    # The (cluster, subcarrier, rx) factor once, not once per tx antenna; its
+    # products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
+    factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
+    return ChannelTensor(np.einsum("ckr,ct->krt", factor, a_tx_conj))
+
+
+def _complex_product(a, b) -> np.ndarray:
+    """Broadcast complex product as separate real products and sums,
+    (ac - bd) + (ad + bc)i, each rounded on its own. numpy's complex multiply
+    may fuse or reorder them and differ in the last bit."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def synthesize_csi(

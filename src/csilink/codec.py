@@ -8,6 +8,15 @@ normalization and vectorization. Training is plain mini-batch Adam on a
 complex-aware mean squared error, implemented from scratch so the whole
 pipeline stays dependency-light and bit-reproducible.
 
+Training gives the bits of the textbook computation (one fresh array per
+step, full-batch products). Most of its time goes to the output layer's
+elementwise steps on (batch, m) arrays, so that layer runs in row blocks of
+about 1 MB per array, whose steps stay in cache. Only its forward product
+a4 @ w is blocked; it reduces over the hidden width of 10, which a
+row block leaves unchanged. The loss, the bias gradient and every product
+that sums over the batch or the input width run on the full batch. Adam and
+the normalization run in place, in the textbook operation order.
+
 Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
     m -> 10 (ReLU) -> 10 (ReLU) -> d (linear) -> 10 (ReLU) -> m (sigmoid)
@@ -31,6 +40,9 @@ MODEL_MAGIC = b"CSIM"
 SUPPORTED_LATENT_BITS = (32,)
 
 _HIDDEN = 10
+# Bytes per array of one output-layer row block (8 rows at the desk width),
+# so that a block's arrays stay in a core's L2 cache between its steps.
+_BLOCK_BYTES = 1 << 20
 
 
 class WireFormatError(ValueError):
@@ -137,7 +149,9 @@ class NormStats:
 def normalize(v, stats: NormStats) -> np.ndarray:
     """Affine map of [lo, hi] onto [0, 1], clipping out-of-range inputs."""
     v = np.asarray(v, dtype=float)
-    return np.clip((v - stats.lo) / (stats.hi - stats.lo), 0.0, 1.0)
+    out = np.subtract(v, stats.lo, out=np.empty_like(v))
+    out /= stats.hi - stats.lo
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def denormalize(v, stats: NormStats) -> np.ndarray:
@@ -257,21 +271,68 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     state.t += 1
     t = state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        # p -= lr*m_hat / (sqrt(v_hat) + eps), step by step in two scratch
+        # arrays, in the operation order of that expression.
+        s1, s2 = np.empty_like(p), np.empty_like(p)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=s1)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, g, out=s1)
+        s1 *= g
+        v += s1
+        np.divide(m, 1.0 - beta1**t, out=s1)
+        s1 *= lr
+        np.divide(v, 1.0 - beta2**t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        p -= s1
     return state
+
+
+def _output_layer(model: AutoencoderModel, a4, x, delta_scale=None):
+    """Squared errors of the sigmoid output layer against the targets ``x``
+    and, given ``delta_scale``, its deltas delta_scale*diff*y*(1-y), each as
+    a full-batch array (``None`` for the deltas without a scale).
+
+    The layer runs in row blocks of about _BLOCK_BYTES per array, so a
+    block's output and difference stay in cache through the elementwise
+    steps. Every entry keeps its arithmetic: a block's a4 @ w reduces over
+    the hidden width exactly as the full product does, and no block holds a
+    single row of a larger batch, which BLAS would compute as a
+    matrix-vector product with other rounding.
+    """
+    w, b = model.weights[4], model.biases[4]
+    n, m = x.shape
+    rows = max(2, _BLOCK_BYTES // (8 * m))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    sq = np.empty_like(x)
+    delta = None if delta_scale is None else np.empty_like(x)
+    buf = np.empty((min(n, rows + 1), m))
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        y = np.matmul(a4[lo:hi], w, out=buf[: hi - lo])
+        y += b
+        _sigmoid(y, out=y)
+        # The difference is made where it is used up: squared in place for
+        # the loss alone, otherwise scaled in place into the delta.
+        diff = np.subtract(y, x[lo:hi], out=(sq if delta is None else delta)[lo:hi])
+        np.square(diff, out=sq[lo:hi])
+        if delta is not None:
+            diff *= delta_scale
+            diff *= y
+            np.subtract(1.0, y, out=y)
+            diff *= y
+    return sq, delta
 
 
 def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
     """Mean batch loss and its exact gradients w.r.t. every weight and bias.
 
     The batch rows are both input and target (already normalized). The ReLU
-    subgradient at 0 is taken as 0.
+    subgradient at 0 is taken as 0. The result equals the textbook form,
+    with the deltas ((c*diff)*y)*(1-y), bit for bit.
     """
     x = np.atleast_2d(np.asarray(batch, dtype=float))
     if x.shape[0] == 0:
@@ -284,30 +345,22 @@ def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
     a1 = _relu(z1)
     z2 = a1 @ w[1] + b[1]
     a2 = _relu(z2)
-    # The batch-wide layers (latent and output) add their biases in place and
-    # the output layer reuses its batch x input_dim buffers, which dominate
-    # the cost; the operation order matches the textbook form
-    # ((c*diff)*y)*(1-y) bit for bit.
     z3 = a2 @ w[2]  # latent, linear
     z3 += b[2]
     z4 = z3 @ w[3] + b[3]
     a4 = _relu(z4)
-    z5 = a4 @ w[4]
-    z5 += b[4]
-    y = _sigmoid(z5, out=z5)
+    # The loss and every product that reduces over the batch or the input
+    # width run on the full batch: blocking them would reorder their sums.
+    sq, d5 = _output_layer(model, a4, x, 2.0 / (n_complex * bsz))
+    loss = float(np.sum(sq) / (n_complex * bsz))
 
-    diff = y - x
-    buf = np.square(diff)
-    loss = float(np.sum(buf) / (n_complex * bsz))
-
-    d5 = np.multiply(2.0 / (n_complex * bsz), diff, out=diff)
-    d5 *= y
-    np.subtract(1.0, y, out=buf)
-    d5 *= buf
     gw5 = a4.T @ d5
     gb5 = d5.sum(axis=0)
     d4 = (d5 @ w[4].T) * (z4 > 0)
-    gw4 = z3.T @ d4
+    # The gradients of the two weights with a wide input, (input, 10), are
+    # taken as the transpose of the (10, input) product: the same sums in a
+    # faster BLAS layout, copied back to row-major for the Adam step.
+    gw4 = (d4.T @ z3).T.copy()
     gb4 = d4.sum(axis=0)
     d3 = d4 @ w[3].T
     gw3 = a2.T @ d3
@@ -316,15 +369,16 @@ def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
     gw2 = a1.T @ d2
     gb2 = d2.sum(axis=0)
     d1 = (d2 @ w[1].T) * (z1 > 0)
-    gw1 = x.T @ d1
+    gw1 = (d1.T @ x).T.copy()
     gb1 = d1.sum(axis=0)
 
     return loss, [gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4, gw5, gb5]
 
 
 def _batch_loss(model: AutoencoderModel, x) -> float:
-    y = ae_decode(model, ae_encode(model, x))
-    return float(np.sum((y - x) ** 2) / ((model.input_dim // 2) * x.shape[0]))
+    a4 = _relu(ae_encode(model, x) @ model.weights[3] + model.biases[3])
+    sq, _ = _output_layer(model, a4, x)
+    return float(np.sum(sq) / ((model.input_dim // 2) * x.shape[0]))
 
 
 def train(

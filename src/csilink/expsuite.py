@@ -483,17 +483,22 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     dataset = ad.build_dataset(row for row in sweep.rows if row["profile"] == profile_name)
     table = ad.policy_table(dataset, b_max=cfg.b_max)
 
-    # The traces share seeds, so a point that two traces pick runs once.
-    @functools.cache
+    # Counts per (ratio, SNR) pair the three traces need; the traces share
+    # seeds, so a pair that two traces pick runs once. Users are the outer
+    # loop, so each user's realization serves every pair while it is cached.
+    totals = {
+        (kappa, rho): ErrorCounts()
+        for rho in cfg.rhos
+        for kappa in (table.kappa_for(rho), cfg.static_kappa, ad.NO_COMPRESSION)
+    }
+    for user in range(cfg.n_users):
+        for kappa, rho in list(totals):
+            model = None if kappa == ad.NO_COMPRESSION else sweep.models[(profile_name, kappa)]
+            counts, _, _ = evaluate_point(cfg, profile, profile_idx, model, rho, user, seed_domain=_ADAPT)
+            totals[(kappa, rho)] = merge(totals[(kappa, rho)], counts)
+
     def evaluate(kappa: float, rho: float) -> tuple[float, float]:
-        model = None if kappa == ad.NO_COMPRESSION else sweep.models[(profile_name, kappa)]
-        total = ErrorCounts()
-        for user in range(cfg.n_users):
-            counts, _, _ = evaluate_point(
-                cfg, profile, profile_idx, model, rho, user, seed_domain=_ADAPT
-            )
-            total = merge(total, counts)
-        return total.bler, total.bler_stderr
+        return totals[(kappa, rho)].bler, totals[(kappa, rho)].bler_stderr
 
     decisions = ad.run_adaptive(table, cfg.rhos, evaluate)
 

@@ -4,11 +4,14 @@ renames or drops one of them, or calls a stage under another name."""
 
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
+from csilink import chanmodel as cm
+from csilink import codec
 from csilink import expsuite as es
 
 DESK = Path(__file__).resolve().parent.parent / "bench" / "desk.py"
@@ -80,3 +83,34 @@ def test_link_stages_are_reached_through_their_module_attributes(desk, monkeypat
         "run_link_once", "draw_block_fading", "compress", "decompress",
     )
     assert [s for s in stages if not calls[s]] == []
+
+
+def test_training_stages_are_called_once_per_unit_of_work(monkeypatch):
+    """The tracer reads synth_calls, batches and the training stage times off
+    calls to these module attributes: one draw per training sample, one train
+    per ratio, one backprop and one Adam step per batch. A batched draw or an
+    inlined step would still train correctly but misreport them."""
+    train = es.TrainSettings(epochs=3, batch_size=16, dataset_size=32)
+    cfg = es.ExperimentConfig(
+        profiles=("cdl_e",), n_sc=16, n_r=2, ura_rows=2, ura_cols=2, n_pilot=8, kappas=(0.5, 0.7),
+        rhos=(30.0,), n_users=1, payload_bits=4000, n_blocks=1, train=train, static_kappa=0.5,
+    )
+    calls = {}
+    for module, attr in ((cm, "synthesize_csi"), (codec, "train"), (codec, "backprop"), (codec, "adam_step")):
+        calls[attr] = 0
+
+        def counting(*args, _attr=attr, _original=getattr(module, attr), **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counting)
+
+    es.train_codec_family(cfg, es.resolve_profile("cdl_e"), 0)
+    n_train = train.dataset_size - int(round(train.val_fraction * train.dataset_size))
+    steps = train.epochs * math.ceil(n_train / train.batch_size) * len(cfg.kappas)
+    assert calls == {
+        "synthesize_csi": train.dataset_size,
+        "train": len(cfg.kappas),
+        "backprop": steps,
+        "adam_step": steps,
+    }

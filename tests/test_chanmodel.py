@@ -107,6 +107,23 @@ class TestSteeringVector:
         assert np.allclose(np.abs(a), 1.0)
 
 
+def einsum_oracle(profile, tx, n_r, n_sc, delta_f, phases):
+    """The channel as one four-operand einsum over the clusters, from factors
+    built here from the public steering functions."""
+    clusters = profile.clusters
+    gains = np.sqrt([c.power for c in clusters]) * np.exp(1j * phases)
+    delays = np.array([c.delay_s for c in clusters])
+    freq = np.exp(-1j * 2 * math.pi * delays[:, None] * np.arange(n_sc)[None, :] * delta_f)
+    a_rx = np.stack([cm.ula_steering(n_r, c.aoa_az, c.aoa_zen) for c in clusters])
+    a_tx = np.stack([cm.steering_vector(tx, c.aod_az, c.aod_zen) for c in clusters])
+    return np.einsum("c,ck,cr,ct->krt", gains, freq, a_rx, a_tx.conj())
+
+
+# (n_sc, n_r, URA rows, URA cols): the desk geometry, a single rx antenna and
+# a single tx element among them.
+ORACLE_GEOMETRIES = [(128, 4, 4, 4), (16, 2, 1, 4), (8, 1, 2, 2), (3, 3, 1, 1)]
+
+
 class TestSynthesizeCsi:
     ura = cm.UraGeometry(2, 2)
 
@@ -143,6 +160,16 @@ class TestSynthesizeCsi:
                     for t in range(self.ura.n_elements):
                         oracle[k, r, t] += gain * rot * a_r[r] * np.conj(a_t[t])
         assert np.abs(h.data - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["cdl_c", "cdl_e"])
+    @pytest.mark.parametrize("n_sc, n_r, rows, cols", ORACLE_GEOMETRIES)
+    def test_matches_einsum_oracle_bit_for_bit(self, name, n_sc, n_r, rows, cols):
+        profile = cm.load_cdl_profile(cm.shipped_profile_path(name))
+        tx = cm.UraGeometry(rows, cols)
+        for seed in range(100):
+            h = cm.synthesize_csi(profile, tx, n_r, n_sc, 15e3, seed)
+            phases = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, profile.n_clusters)
+            assert np.array_equal(h.data, einsum_oracle(profile, tx, n_r, n_sc, 15e3, phases))
 
     def test_dimension_validation(self):
         profile = make_profile([(0.0, 1.0, 0.0, 1.5, 0.0, 1.5)])
@@ -208,6 +235,17 @@ class TestBlockFading:
         b = cm.draw_block_fading(self.profile, self.ura, 2, 8, 15e3, seed=31, n_blocks=3)
         for x, y in zip(a, b):
             assert np.array_equal(x.data, y.data)
+
+    @pytest.mark.parametrize("name", ["cdl_c", "cdl_e"])
+    @pytest.mark.parametrize("n_sc, n_r, rows, cols", ORACLE_GEOMETRIES)
+    def test_matches_einsum_oracle_bit_for_bit(self, name, n_sc, n_r, rows, cols):
+        profile = cm.load_cdl_profile(cm.shipped_profile_path(name))
+        tx = cm.UraGeometry(rows, cols)
+        for seed in range(100):
+            blocks = cm.draw_block_fading(profile, tx, n_r, n_sc, 15e3, seed, n_blocks=2)
+            phases = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, (2, profile.n_clusters))
+            for h, ph in zip(blocks, phases):
+                assert np.array_equal(h.data, einsum_oracle(profile, tx, n_r, n_sc, 15e3, ph))
 
     def test_invalid_block_count(self):
         with pytest.raises(ValueError):

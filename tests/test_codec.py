@@ -8,6 +8,9 @@ from csilink import chanmodel as cm
 from csilink import codec
 
 
+DESK_DIMS = (128, 4, 16)
+
+
 def tiny_model(seed=0, kappa=0.5, dims=(2, 1, 2)):
     return codec.ae_init(kappa, dims, seed)
 
@@ -128,6 +131,19 @@ class TestNormalize:
     def test_out_of_range_clips(self):
         out = codec.normalize(np.array([-10.0, 10.0]), self.stats)
         assert list(out) == [0.0, 1.0]
+
+    def test_matches_clip_expression_bit_for_bit(self):
+        v = np.random.default_rng(4).normal(2.0, 4.0, size=(37, 64))
+        before = v.copy()
+        out = codec.normalize(v, self.stats)
+        assert np.array_equal(v, before)
+        assert np.array_equal(out, np.clip((v - -2.0) / (6.0 - -2.0), 0.0, 1.0))
+
+    def test_list_and_int_input(self):
+        values = [-3, -2, 0, 5, 6, 9]
+        want = np.clip((np.array(values, dtype=float) + 2.0) / 8.0, 0.0, 1.0)
+        assert np.array_equal(codec.normalize(values, self.stats), want)
+        assert np.array_equal(codec.normalize(np.array(values), self.stats), want)
 
     def test_degenerate_stats_rejected(self):
         with pytest.raises(ValueError):
@@ -291,6 +307,30 @@ class TestAdam:
             codec.adam_step(p, [np.array([g])], state, lr=lr)
         assert p[0][0] == pytest.approx(theta, abs=1e-12)
 
+    def test_matches_textbook_expression_bit_for_bit(self):
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(30)
+        shapes = [(16384, 10), (10,), (10, 7)]
+        params = [rng.normal(size=s) for s in shapes]
+        want = [p.copy() for p in params]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        state = codec.AdamState.for_params(params)
+        for t in range(1, 6):
+            grads = [rng.normal(scale=0.1, size=s) for s in shapes]
+            codec.adam_step(params, grads, state, lr=lr)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * g * g
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert state.t == 5
+        for got, expect, got_m, expect_m, got_v, expect_v in zip(params, want, state.m, m, state.v, v):
+            assert np.array_equal(got, expect)
+            assert np.array_equal(got_m, expect_m)
+            assert np.array_equal(got_v, expect_v)
+
     def test_non_finite_gradient_rejected(self):
         p = [np.array([0.0])]
         state = codec.AdamState.for_params(p)
@@ -361,10 +401,40 @@ class TestBackprop:
         for g, want in zip(grads, want_grads):
             assert np.array_equal(g, want)
 
+    # At desk dims the output layer runs in blocks of 8 rows: 26 and 102 end
+    # on a partial block, 9 on a single row that joins the block before it.
+    @pytest.mark.parametrize("kappa", [0.1, 0.7])
+    @pytest.mark.parametrize("bsz", [1, 9, 26, 102, 128])
+    def test_matches_textbook_oracle_bit_for_bit_at_desk_dims(self, kappa, bsz):
+        model = codec.ae_init(kappa, DESK_DIMS, 18)
+        rng = np.random.default_rng(19)
+        for bias in model.biases:
+            bias[:] = rng.normal(scale=0.5, size=bias.size)
+        x = rng.uniform(size=(bsz, model.input_dim))
+        loss, grads = codec.backprop(model, x)
+        want_loss, want_grads = textbook_backprop(model, x)
+        assert loss == want_loss
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(g, want)
+
     def test_empty_batch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
             codec.backprop(model, np.zeros((0, model.input_dim)))
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("dims", [(16, 2, 4), DESK_DIMS])
+    @pytest.mark.parametrize("bsz", [1, 9, 102])
+    def test_matches_forward_passes_bit_for_bit(self, dims, bsz):
+        model = codec.ae_init(0.5, dims, 26)
+        rng = np.random.default_rng(27)
+        for bias in model.biases:
+            bias[:] = rng.normal(scale=0.5, size=bias.size)
+        x = rng.uniform(size=(bsz, model.input_dim))
+        y = codec.ae_decode(model, codec.ae_encode(model, x))
+        want = float(np.sum((y - x) ** 2) / ((model.input_dim // 2) * bsz))
+        assert codec._batch_loss(model, x) == want
 
 
 def channel_rows(profile_name, dims, n, seed0=5000):

@@ -297,6 +297,16 @@ class TestAdaptiveExperiment:
         assert {row["kappa_star"] for row in rows} <= {0.0, cfg.static_kappa}
         assert len(calls) == 2 * len(cfg.rhos) * cfg.n_users
 
+    def test_traces_draw_each_user_once_beyond_cache_size(self, monkeypatch):
+        """With more users than cached realizations, the traces still draw
+        each user once, not once per (ratio, SNR) pair they evaluate."""
+        cfg = tiny_config(n_users=33, b_max=1.0)
+        ex._user_realization.cache_clear()
+        sweep = ex.run_sweep(cfg)
+        draws = record_calls(monkeypatch, cm, "draw_block_fading")
+        ex.run_adaptive_experiment(cfg, sweep=sweep)
+        assert len(draws) == cfg.n_users
+
     def test_static_kappa_must_be_swept(self, tiny_sweep):
         cfg, result, _ = tiny_sweep
         with pytest.raises(ValueError):
