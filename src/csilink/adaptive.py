@@ -156,23 +156,19 @@ def check_invalidation(inference_losses, threshold: float) -> bool:
     return bool(np.mean(losses) > threshold)
 
 
-@dataclass(frozen=True)
-class AdaptiveDecision:
-    rho_db: float
-    kappa: float
-    bler: float
-    bler_stderr: float
+def run_adaptive(table: PolicyTable, sweep_rhos, static_kappa: float, counts) -> list[dict]:
+    """The adaptive.csv rows: per SNR point, the ratio ``table`` picks and the
+    BLER of the adaptive, static and uncompressed traces.
 
-
-def run_adaptive(table: PolicyTable, sweep_rhos, evaluate):
-    """Evaluate the link at each SNR point with the ratio ``table`` picks.
-
-    ``evaluate(kappa, rho_db)`` runs the chain with the model for ``kappa``
-    (NO_COMPRESSION = raw estimate) and returns (bler, bler_stderr).
+    ``counts[(kappa, rho_db)]`` holds the merged ErrorCounts of the chain run
+    with the model for ``kappa`` (NO_COMPRESSION = raw estimate).
     """
-    out = []
+    rows = []
     for rho in sweep_rhos:
         kappa = table.kappa_for(rho)
-        bler_val, stderr = evaluate(kappa, rho)
-        out.append(AdaptiveDecision(rho_db=float(rho), kappa=kappa, bler=bler_val, bler_stderr=stderr))
-    return out
+        row = {"rho_db": float(rho), "kappa_star": kappa}
+        for trace, k in (("adaptive", kappa), ("static", static_kappa), ("uncompressed", NO_COMPRESSION)):
+            row[f"bler_{trace}"] = counts[(k, rho)].bler
+            row[f"bler_{trace}_stderr"] = counts[(k, rho)].bler_stderr
+        rows.append(row)
+    return rows

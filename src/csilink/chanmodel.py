@@ -195,7 +195,12 @@ def ula_steering(n_elements: int, azimuth: float, zenith: float) -> np.ndarray:
 def _cluster_terms(profile: CdlProfile, tx: UraGeometry, n_r: int, n_sc: int, delta_f: float):
     """The seed-free factors of a realization: cluster amplitudes, delay
     phasors over the subcarriers, rx steering and conjugated tx steering.
-    Cached and read-only, because every realization of a link shares them."""
+    Cached and read-only, because every realization of a link shares them;
+    a call that raises is not cached, so both draws check their arguments."""
+    if n_r < 1 or n_sc < 1:
+        raise ValueError("n_r and n_sc must be >= 1")
+    if delta_f <= 0:
+        raise ValueError("delta_f must be positive")
     a_rx = np.stack([ula_steering(n_r, c.aoa_az, c.aoa_zen) for c in profile.clusters])
     a_tx_conj = np.stack([steering_vector(tx, c.aod_az, c.aod_zen) for c in profile.clusters]).conj()
     delays = np.array([c.delay_s for c in profile.clusters])
@@ -246,10 +251,6 @@ def synthesize_csi(
 ) -> ChannelTensor:
     """One block-fading CSI realization: sum of per-cluster rank-one rays with
     seeded i.i.d. uniform phases."""
-    if n_r < 1 or n_sc < 1:
-        raise ValueError("n_r and n_sc must be >= 1")
-    if delta_f <= 0:
-        raise ValueError("delta_f must be positive")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, TWO_PI, profile.n_clusters)
     return _synthesize_from_phases(profile, tx, n_r, n_sc, delta_f, phases)

@@ -108,7 +108,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Every check a run depends on, so that a bad config fails when it is
-        built or loaded rather than after codec training."""
+        built or loaded rather than after codec training. Where a library
+        object owns a rule (the array geometry, the link dimensions and SNR,
+        the profile files), the check builds that object."""
         if not self.profiles:
             raise ValueError("need at least one channel profile")
         if not self.rhos:
@@ -117,6 +119,13 @@ class ExperimentConfig:
             raise ValueError("need at least one user")
         if self.n_blocks < 1:
             raise ValueError("need at least one fading block")
+        if self.payload_bits < self.n_blocks:
+            raise ValueError("payload_bits must be at least n_blocks, one bit per fading block")
+        if not self.delta_f > 0:
+            raise ValueError("delta_f must be positive")
+        self.ura
+        for rho in self.rhos:
+            pl.noise_var_from_snr(self.link_config(rho))
         if self.n_pilot < self.n_t:
             raise ValueError("need n_pilot >= n_t for least-squares estimation")
         for k in self.kappas:
@@ -128,10 +137,9 @@ class ExperimentConfig:
             raise ValueError(f"SNR points must be unique, got {self.rhos}")
         if self.static_kappa not in self.kappas:
             raise ValueError("static_kappa must be one of the swept ratios")
-        if self.adaptive_profile is not None:
-            names = [resolve_profile(p).name for p in self.profiles]
-            if self.adaptive_profile not in names:
-                raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
+        names = [resolve_profile(p).name for p in self.profiles]
+        if self.adaptive_profile is not None and self.adaptive_profile not in names:
+            raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
         if self.master_seed < 0:
             raise ValueError("master seed must be a non-negative 64-bit integer")
 
@@ -156,8 +164,6 @@ class ExperimentConfig:
             n_t=self.n_t,
             n_r=self.n_r,
             n_sc=self.n_sc,
-            n_pilot=self.n_pilot,
-            delta_f=self.delta_f,
             snr_db=rho_db,
         )
 
@@ -287,44 +293,32 @@ def _user_realization(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx
     return _Realization(tuple(zip(channels, np.array_split(payload, cfg.n_blocks))))
 
 
-def _estimate_channel(
-    cfg: ExperimentConfig,
-    h_true: cm.ChannelTensor,
-    noise_var: float,
-    user: int,
-    profile_idx: int,
-    block: int,
-) -> cm.ChannelTensor:
-    """LS estimate of one block's true channel from the user's pilot and
-    pilot-noise streams: the one path from a true channel to an estimate."""
-    user_seed = cfg.user_seed(user)
-    pilots = pl.generate_pilots(
-        cfg.n_pilot,
-        cfg.n_t,
-        stream_seed(user_seed, _PILOT, profile_idx, block),
-        orthogonal=cfg.orthogonal_pilots,
-    )
-    pb = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
-    return pl.ls_estimate(pb)
-
-
 def _user_estimates(
     cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int, user: int, rho_db: float
 ) -> tuple[_Realization, tuple[cm.ChannelTensor, ...]]:
-    """A user's realization and its per-block estimates at ``rho_db``. The
-    pilot streams do not depend on the ratio, so the baseline, every ratio,
-    every adaptive trace and the heatmap read one read-only estimate."""
+    """A user's realization and its per-block LS estimates at ``rho_db``, from
+    the user's pilot and pilot-noise streams: the one path from a true channel
+    to an estimate. The pilot streams do not depend on the ratio, so the
+    baseline, every ratio, every adaptive trace and the heatmap read one
+    read-only estimate."""
     realization = _user_realization(cfg, profile, profile_idx, user)
     estimates = realization.estimates.get(rho_db)
     if estimates is None:
         noise_var = pl.noise_var_from_snr(cfg.link_config(rho_db))
-        estimates = tuple(
-            _estimate_channel(cfg, h_true, noise_var, user, profile_idx, block)
-            for block, (h_true, _) in enumerate(realization.blocks)
-        )
-        for h in estimates:
-            h.data.flags.writeable = False
-        realization.estimates[rho_db] = estimates
+        user_seed = cfg.user_seed(user)
+        estimates = []
+        for block, (h_true, _) in enumerate(realization.blocks):
+            pilots = pl.generate_pilots(
+                cfg.n_pilot,
+                cfg.n_t,
+                stream_seed(user_seed, _PILOT, profile_idx, block),
+                orthogonal=cfg.orthogonal_pilots,
+            )
+            pb = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
+            h_est = pl.ls_estimate(pb)
+            h_est.data.flags.writeable = False
+            estimates.append(h_est)
+        estimates = realization.estimates[rho_db] = tuple(estimates)
     return realization, estimates
 
 
@@ -471,9 +465,11 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     """Adaptive ratio selection versus the static and uncompressed baselines.
 
     The policy table is built from the adaptive profile's rows of ``sweep``,
-    a run_sweep result for the same config; the three traces are then
-    evaluated on fresh, paired realizations (identical channels, noise and
-    payloads for all three schemes at each SNR point).
+    a run_sweep result for the same config. The three traces reuse the
+    sweep's channels, payloads and LS estimates (the cached realizations,
+    redrawn from the same streams on a cache miss); only the link noise comes
+    from a stream of its own. The traces are paired: at each SNR point all
+    three schemes see identical channels, noise and payloads.
     """
     profiles = [resolve_profile(p) for p in cfg.profiles]
     names = [p.name for p in profiles]
@@ -497,27 +493,7 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
             counts, _, _ = evaluate_point(cfg, profile, profile_idx, model, rho, user, seed_domain=_ADAPT)
             totals[(kappa, rho)] = merge(totals[(kappa, rho)], counts)
 
-    def evaluate(kappa: float, rho: float) -> tuple[float, float]:
-        return totals[(kappa, rho)].bler, totals[(kappa, rho)].bler_stderr
-
-    decisions = ad.run_adaptive(table, cfg.rhos, evaluate)
-
-    rows = []
-    for decision in decisions:
-        static_bler, static_err = evaluate(cfg.static_kappa, decision.rho_db)
-        base_bler, base_err = evaluate(ad.NO_COMPRESSION, decision.rho_db)
-        rows.append(
-            {
-                "rho_db": decision.rho_db,
-                "kappa_star": decision.kappa,
-                "bler_adaptive": decision.bler,
-                "bler_adaptive_stderr": decision.bler_stderr,
-                "bler_static": static_bler,
-                "bler_static_stderr": static_err,
-                "bler_uncompressed": base_bler,
-                "bler_uncompressed_stderr": base_err,
-            }
-        )
+    rows = ad.run_adaptive(table, cfg.rhos, cfg.static_kappa, totals)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -560,12 +536,10 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     return paths
 
 
-def emit_history(history: codec.TrainHistory, path) -> bool:
-    """Epoch-indexed loss CSV; returns True when the final training loss sits
-    below the initial one."""
+def emit_history(history: codec.TrainHistory, path):
+    """Epoch-indexed loss CSV."""
     rows = [
         {"epoch": e + 1, "train_loss": tl, "val_loss": vl}
         for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss))
     ]
     write_csv(path, ("epoch", "train_loss", "val_loss"), rows)
-    return history.train_loss[-1] < history.train_loss[0]

@@ -39,18 +39,12 @@ class LinkConfig:
     n_t: int
     n_r: int
     n_sc: int
-    n_pilot: int
-    delta_f: float
     snr_db: float
     crc_poly: tuple[int, ...] = DEFAULT_CRC_POLY
 
     def __post_init__(self):
-        if min(self.n_t, self.n_r, self.n_sc, self.n_pilot) < 1:
-            raise ValueError("antenna/subcarrier/pilot counts must be positive")
-        if self.n_pilot < self.n_t:
-            raise ValueError("need n_pilot >= n_t for least-squares estimation")
-        if self.delta_f <= 0:
-            raise ValueError("delta_f must be positive")
+        if min(self.n_t, self.n_r, self.n_sc) < 1:
+            raise ValueError("antenna/subcarrier counts must be positive")
 
     @property
     def n_streams(self) -> int:

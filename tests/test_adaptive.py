@@ -1,9 +1,11 @@
 import csv
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from csilink import adaptive as ad
+from csilink.metrics import ErrorCounts
 
 
 def row(rho, kappa, bler):
@@ -175,23 +177,26 @@ class TestRunAdaptive:
         ds = ad.build_dataset([row(r, k, bler)
                                for r in rhos
                                for k, bler in ((0.1, 0.08), (0.5, 0.01), (0.7, 0.2))])
+        counts = {
+            (k, r): ErrorCounts(0, 0, 10 + int(r) + n, 1000)
+            for r in rhos
+            for n, k in enumerate((ad.NO_COMPRESSION, 0.1, 0.5))
+        }
 
-        measured = {(0.5, r): (0.01 + r / 1000, 0.001) for r in rhos}
-
-        def evaluate(kappa, rho):
-            assert kappa == 0.5
-            return measured[(kappa, rho)]
-
-        decisions = ad.run_adaptive(ad.policy_table(ds), rhos, evaluate)
-        assert [d.kappa for d in decisions] == [0.5, 0.5, 0.5]
-        assert [(d.bler, d.bler_stderr) for d in decisions] == [measured[(0.5, r)] for r in rhos]
+        rows = ad.run_adaptive(ad.policy_table(ds), rhos, 0.1, counts)
+        assert [r["kappa_star"] for r in rows] == [0.5, 0.5, 0.5]
+        for r, rho in zip(rows, rhos):
+            for trace, k in (("adaptive", 0.5), ("static", 0.1), ("uncompressed", ad.NO_COMPRESSION)):
+                assert (r[f"bler_{trace}"], r[f"bler_{trace}_stderr"]) == (
+                    counts[(k, rho)].bler, counts[(k, rho)].bler_stderr
+                )
 
     def test_never_selects_ratio_violating_ceiling(self):
         rng = np.random.default_rng(2)
         rhos = (0.0, 5.0, 10.0)
         ds = ad.build_dataset([row(r, k, float(rng.uniform(0, 1)))
                                for r in rhos for k in (0.1, 0.5, 0.7) for _ in range(3)])
-        decisions = ad.run_adaptive(ad.policy_table(ds, b_max=0.1), rhos, lambda k, r: (0.0, 0.0))
-        for d in decisions:
-            if d.kappa != ad.NO_COMPRESSION:
-                assert ds[d.rho_db][d.kappa] <= 0.1
+        rows = ad.run_adaptive(ad.policy_table(ds, b_max=0.1), rhos, 0.5, defaultdict(ErrorCounts))
+        for r in rows:
+            if r["kappa_star"] != ad.NO_COMPRESSION:
+                assert ds[r["rho_db"]][r["kappa_star"]] <= 0.1

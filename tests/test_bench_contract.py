@@ -8,11 +8,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csilink import chanmodel as cm
 from csilink import codec
 from csilink import expsuite as es
+from csilink import phylink as pl
 
 DESK = Path(__file__).resolve().parent.parent / "bench" / "desk.py"
 
@@ -50,6 +52,24 @@ def test_hooked_arguments_exist(desk, attr, arguments):
     (module,) = [m for m, a, *_ in desk.LAYERS if a == attr]
     parameters = inspect.signature(getattr(module, attr)).parameters
     assert [a for a in arguments if a not in parameters] == []
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({}, id="desk"),
+        pytest.param(dict(n_sc=16, n_r=2, ura_rows=2, ura_cols=2, n_pilot=8, payload_bits=4001, n_blocks=3), id="small"),
+    ],
+)
+def test_expected_totals_match_the_framing(desk, overrides):
+    """The bench checks each point's bit and block totals against its own
+    framing arithmetic, which must agree with the link's."""
+    cfg = desk.desk_config(5, **overrides)
+    shapes = [
+        pl.frame_codewords(share, cfg.link_config(cfg.rhos[0])).shape
+        for share in np.array_split(np.zeros(cfg.payload_bits, dtype=np.uint8), cfg.n_blocks)
+    ]
+    assert desk.expected_totals(cfg) == (sum(r * c for r, c in shapes), sum(r for r, _ in shapes))
 
 
 def test_link_stages_are_reached_through_their_module_attributes(desk, monkeypatch):

@@ -250,3 +250,25 @@ class TestBlockFading:
     def test_invalid_block_count(self):
         with pytest.raises(ValueError):
             cm.draw_block_fading(self.profile, self.ura, 2, 8, 15e3, seed=1, n_blocks=0)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda *args: cm.synthesize_csi(*args, seed=1), id="synthesize_csi"),
+        pytest.param(lambda *args: cm.draw_block_fading(*args, seed=1, n_blocks=2), id="draw_block_fading"),
+    ],
+)
+@pytest.mark.parametrize(
+    "n_r, n_sc, delta_f, message",
+    [
+        pytest.param(0, 8, 15e3, "n_r and n_sc", id="no_rx"),
+        pytest.param(2, 0, 15e3, "n_r and n_sc", id="no_subcarriers"),
+        pytest.param(2, 8, 0.0, "delta_f", id="zero_spacing"),
+        pytest.param(2, 8, -1.0, "delta_f", id="negative_spacing"),
+    ],
+)
+def test_both_draws_check_their_arguments(draw, n_r, n_sc, delta_f, message):
+    profile = make_profile([(0.0, 1.0, 0.0, 1.5, 0.0, 1.5)])
+    with pytest.raises(ValueError, match=message):
+        draw(profile, cm.UraGeometry(2, 2), n_r, n_sc, delta_f)

@@ -372,13 +372,13 @@ class TestMmse:
 
 
 class TestNoiseVar:
-    cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, n_pilot=64, delta_f=15e3, snr_db=0.0)
+    cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=0.0)
 
     def test_zero_db_reference_value(self):
         assert pl.noise_var_from_snr(self.cfg) == pytest.approx(1.0 / 2048.0, rel=1e-12)
 
     def test_ten_db_reduces_tenfold(self):
-        cfg10 = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, n_pilot=64, delta_f=15e3, snr_db=10.0)
+        cfg10 = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=10.0)
         ratio = pl.noise_var_from_snr(self.cfg) / pl.noise_var_from_snr(cfg10)
         assert ratio == pytest.approx(10.0, rel=1e-12)
 
@@ -386,7 +386,7 @@ class TestNoiseVar:
 class TestRunLinkOnce:
     @staticmethod
     def desk_config(snr_db):
-        return pl.LinkConfig(n_t=4, n_r=4, n_sc=32, n_pilot=8, delta_f=15e3, snr_db=snr_db)
+        return pl.LinkConfig(n_t=4, n_r=4, n_sc=32, snr_db=snr_db)
 
     @staticmethod
     def channel(seed):
@@ -411,7 +411,7 @@ class TestRunLinkOnce:
 
     def test_high_snr_sanity_band_cdl_e(self):
         profile = cm.load_cdl_profile(cm.shipped_profile_path("cdl_e"))
-        cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, n_pilot=64, delta_f=15e3, snr_db=30.0)
+        cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=30.0)
         total_err, total_bits = 0, 0
         for user in range(3):
             h = cm.synthesize_csi(profile, cm.UraGeometry(4, 4), 4, 128, 15e3, 100 + user)
