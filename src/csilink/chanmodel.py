@@ -215,22 +215,6 @@ def _cluster_terms(profile: CdlProfile, tx: UraGeometry, n_r: int, n_sc: int, de
     return terms
 
 
-def _synthesize_from_phases(
-    profile: CdlProfile,
-    tx: UraGeometry,
-    n_r: int,
-    n_sc: int,
-    delta_f: float,
-    phases: np.ndarray,
-) -> ChannelTensor:
-    amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
-    gains = amp * np.exp(1j * phases)
-    # The (cluster, subcarrier, rx) factor once, not once per tx antenna; its
-    # products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
-    factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
-    return ChannelTensor(np.einsum("ckr,ct->krt", factor, a_tx_conj))
-
-
 def _complex_product(a, b) -> np.ndarray:
     """Broadcast complex product as separate real products and sums,
     (ac - bd) + (ad + bc)i, each rounded on its own. numpy's complex multiply
@@ -241,6 +225,24 @@ def _complex_product(a, b) -> np.ndarray:
     return out
 
 
+def _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, n_blocks) -> list[ChannelTensor]:
+    """The draw path of both public draws. Each calls it directly, so a
+    wrapper on one module attribute does not see the other's calls."""
+    if n_blocks < 1:
+        raise ValueError("n_blocks must be >= 1")
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, TWO_PI, (n_blocks, profile.n_clusters))
+    amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
+    blocks = []
+    for block_phases in phases:
+        gains = amp * np.exp(1j * block_phases)
+        # The (cluster, subcarrier, rx) factor once, not once per tx antenna;
+        # its products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
+        factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
+        blocks.append(ChannelTensor(np.einsum("ckr,ct->krt", factor, a_tx_conj)))
+    return blocks
+
+
 def synthesize_csi(
     profile: CdlProfile,
     tx: UraGeometry,
@@ -249,11 +251,9 @@ def synthesize_csi(
     delta_f: float,
     seed,
 ) -> ChannelTensor:
-    """One block-fading CSI realization: sum of per-cluster rank-one rays with
-    seeded i.i.d. uniform phases."""
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, TWO_PI, profile.n_clusters)
-    return _synthesize_from_phases(profile, tx, n_r, n_sc, delta_f, phases)
+    """One block-fading CSI realization: block 0 of draw_block_fading for the
+    same seed."""
+    return _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, 1)[0]
 
 
 def draw_block_fading(
@@ -265,14 +265,7 @@ def draw_block_fading(
     seed,
     n_blocks: int,
 ) -> list[ChannelTensor]:
-    """Independent realizations, one per coherence block. Block 0 matches
-    synthesize_csi for the same seed; every block is deterministic in
-    (seed, block index)."""
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, TWO_PI, (n_blocks, profile.n_clusters))
-    return [
-        _synthesize_from_phases(profile, tx, n_r, n_sc, delta_f, phases[b])
-        for b in range(n_blocks)
-    ]
+    """Independent realizations, one per coherence block: sums of per-cluster
+    rank-one rays with seeded i.i.d. uniform phases. Every block is
+    deterministic in (seed, block index)."""
+    return _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, n_blocks)

@@ -215,30 +215,25 @@ def _sigmoid(x, out=None):
 
 
 def ae_encode(model: AutoencoderModel, x) -> np.ndarray:
-    """Encoder + latent projection. Accepts one vector or a batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
-    if a.shape[1] != model.input_dim:
-        raise ValueError(f"expected input length {model.input_dim}, got {a.shape[1]}")
+    """Encoder + latent projection of a batch of input rows."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != model.input_dim:
+        raise ValueError(f"expected rows of length {model.input_dim}, got shape {a.shape}")
     w, b = model.weights, model.biases
     h = _relu(a @ w[0] + b[0])
     h = _relu(h @ w[1] + b[1])
-    z = h @ w[2] + b[2]
-    return z[0] if single else z
+    return h @ w[2] + b[2]
 
 
 def ae_decode(model: AutoencoderModel, z) -> np.ndarray:
-    """Decoder forward pass; output lies in [0, 1] elementwise."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    a = z[None, :] if single else z
-    if a.shape[1] != model.latent_width:
-        raise ValueError(f"expected latent length {model.latent_width}, got {a.shape[1]}")
+    """Decoder forward pass of a batch of latent rows; output lies in [0, 1]
+    elementwise."""
+    a = np.asarray(z, dtype=float)
+    if a.ndim != 2 or a.shape[1] != model.latent_width:
+        raise ValueError(f"expected latent rows of length {model.latent_width}, got shape {a.shape}")
     w, b = model.weights, model.biases
     h = _relu(a @ w[3] + b[3])
-    y = _sigmoid(h @ w[4] + b[4])
-    return y[0] if single else y
+    return _sigmoid(h @ w[4] + b[4])
 
 
 def mse_loss(a, b, dims) -> float:
@@ -449,7 +444,7 @@ def compress(model: AutoencoderModel, h: ChannelTensor) -> LatentCsi:
         raise ValueError(f"tensor dims {h.dims} do not match model dims {model.dims}")
     stats = NormStats(model.norm_min, model.norm_max)
     x = normalize(realify(vectorize_csi(h)), stats)
-    z = quantize(ae_encode(model, x))
+    z = quantize(ae_encode(model, x[None])[0])
     return LatentCsi(
         values=z.astype(np.float32),
         kappa_index=model.kappa_index,
@@ -467,14 +462,8 @@ def decompress(model: AutoencoderModel, latent: LatentCsi) -> ChannelTensor:
     if latent.values.size != model.latent_width:
         raise ValueError("latent length does not match the model")
     stats = NormStats(model.norm_min, model.norm_max)
-    y = denormalize(ae_decode(model, latent.values.astype(float)), stats)
+    y = denormalize(ae_decode(model, latent.values.astype(float)[None])[0], stats)
     return devectorize_csi(complexify(y), model.dims)
-
-
-def reconstruction_mse(model: AutoencoderModel, h: ChannelTensor) -> float:
-    """Complex-aware MSE between a tensor and its compress/decompress image."""
-    recon = decompress(model, compress(model, h))
-    return mse_loss(realify(vectorize_csi(h)), realify(vectorize_csi(recon)), model.dims)
 
 
 def overhead_bits(b: int, d_real: int, k_count: int) -> int:

@@ -45,6 +45,7 @@ class LinkConfig:
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.n_sc) < 1:
             raise ValueError("antenna/subcarrier counts must be positive")
+        _as_poly_array(self.crc_poly)
 
     @property
     def n_streams(self) -> int:
@@ -146,32 +147,16 @@ def crc_remainder_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarra
     return (rows @ m % 2).astype(np.uint8)
 
 
-def crc_append(bits, poly=DEFAULT_CRC_POLY) -> np.ndarray:
-    """Append the CRC remainder bits of the message to the message."""
-    msg = np.asarray(bits, dtype=np.uint8)
-    if msg.ndim != 1 or msg.size == 0:
-        raise ValueError("message must be a non-empty bit vector")
-    rem = crc_remainder_many(msg[None, :], poly)[0]
-    return np.concatenate([msg, rem])
-
-
 def crc_check_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
     """Vectorized divisibility check over codeword rows (message + CRC bits).
 
     Uses the shifted division of crc_remainder_many; since _as_poly_array
     requires a nonzero constant term, (block * x^deg) mod poly is zero
     exactly when block mod poly is."""
-    p = _as_poly_array(poly)
-    rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
-    if rows.shape[1] < p.size - 1:
+    rem = crc_remainder_many(bit_rows, poly)
+    if np.shape(bit_rows)[-1] < rem.shape[1]:
         raise ValueError("received blocks shorter than the CRC")
-    return ~crc_remainder_many(rows, poly).any(axis=1)
-
-
-def crc_check(bits, poly=DEFAULT_CRC_POLY) -> bool:
-    """True iff the received block is divisible by the generator polynomial."""
-    rx = np.asarray(bits, dtype=np.uint8)
-    return bool(crc_check_many(rx[None, :], poly)[0])
+    return ~rem.any(axis=1)
 
 
 def qam16_modulate(bits) -> np.ndarray:
@@ -261,7 +246,10 @@ def ls_estimate(pb: PilotBlock) -> ChannelTensor:
 def noise_var_from_snr(cfg: LinkConfig) -> float:
     """Noise variance per receive antenna from the transmit subcarrier SNR:
     sigma_n^2 = P_x / (n_sc * n_t * rho_linear)."""
-    rho = 10.0 ** (cfg.snr_db / 10.0)
+    try:
+        rho = 10.0 ** (cfg.snr_db / 10.0)
+    except OverflowError:
+        rho = math.inf
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("SNR must map to a positive finite linear value")
     return TOTAL_POWER / (cfg.n_sc * cfg.n_t * rho)
@@ -324,16 +312,12 @@ def _canonical_columns(m: np.ndarray) -> np.ndarray:
 
 
 def mmse_equalizer(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
-    """W = (H^H H + noise_var*I)^{-1} H^H, batched over leading axes."""
+    """W = (H^H H + noise_var*I)^{-1} H^H for each matrix of a (batch, m, n) stack."""
     h = np.asarray(h_eff, dtype=np.complex128)
-    squeeze = h.ndim == 2
-    if squeeze:
-        h = h[None, :, :]
     n = h.shape[-1]
     gram = np.einsum("kij,kil->kjl", h.conj(), h)
     gram = gram + noise_var * np.eye(n)[None, :, :]
-    w = np.linalg.solve(gram, h.conj().transpose(0, 2, 1))
-    return w[0] if squeeze else w
+    return np.linalg.solve(gram, h.conj().transpose(0, 2, 1))
 
 
 def frame_codewords(payload: np.ndarray, cfg: LinkConfig) -> np.ndarray:

@@ -309,8 +309,19 @@ class TestDeskScaleExamples:
             cm.synthesize_csi(profile, cfg.ura, cfg.n_r, cfg.n_sc, cfg.delta_f, 7_000_000 + i)
             for i in range(12)
         ]
-        lo = np.mean([codec.reconstruction_mse(sweep.models[("CDL-E", 0.1)], h) for h in held])
-        hi = np.mean([codec.reconstruction_mse(sweep.models[("CDL-E", 0.7)], h) for h in held])
+
+        def held_out_mse(model):
+            return np.mean([
+                codec.mse_loss(
+                    codec.realify(codec.vectorize_csi(h)),
+                    codec.realify(codec.vectorize_csi(codec.decompress(model, codec.compress(model, h)))),
+                    model.dims,
+                )
+                for h in held
+            ])
+
+        lo = held_out_mse(sweep.models[("CDL-E", 0.1)])
+        hi = held_out_mse(sweep.models[("CDL-E", 0.7)])
         report("extra: held-out MSE lower at ratio 0.1 than 0.7 (CDL-E)",
                lo < hi, f"{lo:.4f} vs {hi:.4f}")
 

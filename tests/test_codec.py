@@ -177,23 +177,23 @@ class TestAeInit:
 class TestForwardPasses:
     def test_zero_input_zero_biases_zero_latent(self):
         model = tiny_model()
-        z = codec.ae_encode(model, np.zeros(model.input_dim))
+        z = codec.ae_encode(model, np.zeros((1, model.input_dim)))[0]
         assert not z.any()
 
     def test_latent_length(self):
         model = tiny_model(kappa=0.5, dims=(4, 2, 2))
-        z = codec.ae_encode(model, np.zeros(model.input_dim))
+        z = codec.ae_encode(model, np.zeros((1, model.input_dim)))[0]
         assert z.shape == (codec.latent_dim(0.5, 4, 2, 2),)
 
     def test_zero_latent_gives_half_output(self):
         model = tiny_model()
-        y = codec.ae_decode(model, np.zeros(model.latent_width))
+        y = codec.ae_decode(model, np.zeros((1, model.latent_width)))[0]
         assert np.allclose(y, 0.5)
 
     def test_decode_range(self):
         model = tiny_model(seed=4)
         rng = np.random.default_rng(5)
-        y = codec.ae_decode(model, rng.normal(size=model.latent_width) * 10)
+        y = codec.ae_decode(model, rng.normal(size=model.latent_width)[None] * 10)[0]
         assert ((y >= 0) & (y <= 1)).all()
 
     def test_matches_naive_layer_by_layer_oracle(self):
@@ -208,18 +208,18 @@ class TestForwardPasses:
         h1 = naive_relu(np.array([x @ w[0][:, j] + b[0][j] for j in range(10)]))
         h2 = naive_relu(np.array([h1 @ w[1][:, j] + b[1][j] for j in range(10)]))
         z = np.array([h2 @ w[2][:, j] + b[2][j] for j in range(model.latent_width)])
-        assert np.abs(codec.ae_encode(model, x) - z).max() < 1e-10
+        assert np.abs(codec.ae_encode(model, x[None])[0] - z).max() < 1e-10
 
         h3 = naive_relu(np.array([z @ w[3][:, j] + b[3][j] for j in range(10)]))
         y = np.array([1.0 / (1.0 + math.exp(-(h3 @ w[4][:, j] + b[4][j]))) for j in range(model.input_dim)])
-        assert np.abs(codec.ae_decode(model, z) - y).max() < 1e-10
+        assert np.abs(codec.ae_decode(model, z[None])[0] - y).max() < 1e-10
 
     def test_length_validation(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            codec.ae_encode(model, np.zeros(model.input_dim + 1))
+            codec.ae_encode(model, np.zeros((1, model.input_dim + 1)))
         with pytest.raises(ValueError):
-            codec.ae_decode(model, np.zeros(model.latent_width + 1))
+            codec.ae_decode(model, np.zeros((1, model.latent_width + 1)))
 
     def test_decode_matches_two_branch_sigmoid_bit_for_bit(self):
         # Pre-activations are set through the output bias: with a zero hidden

@@ -97,6 +97,8 @@ class TestConfig:
             pytest.param(dict(n_pilot=3), "n_pilot >= n_t", id="fewer_pilots_than_tx"),
             pytest.param(dict(rhos=(float("inf"),)), "positive finite", id="infinite_snr"),
             pytest.param(dict(rhos=(float("nan"),)), "positive finite", id="nan_snr"),
+            pytest.param(dict(rhos=(4000.0,)), "positive finite", id="overflowing_snr"),
+            pytest.param(dict(rhos=(-4000.0,)), "positive finite", id="underflowing_snr"),
             pytest.param(dict(payload_bits=-5), "payload_bits", id="negative_payload"),
             pytest.param(dict(payload_bits=0), "payload_bits", id="empty_payload"),
             pytest.param(dict(delta_f=0.0), "delta_f", id="zero_subcarrier_spacing"),

@@ -24,30 +24,39 @@ def crc_long_division(msg, poly=POLY):
     return work[-deg:]
 
 
+def with_crc(msg):
+    """A message followed by its CRC remainder, through the batch function."""
+    return np.concatenate([msg, pl.crc_remainder_many(msg[None, :], POLY)[0]])
+
+
+def crc_ok(codeword) -> bool:
+    return bool(pl.crc_check_many(codeword[None, :], POLY)[0])
+
+
 class TestCrc:
     def test_zero_message_zero_remainder(self):
-        out = pl.crc_append(np.zeros(16, dtype=np.uint8), POLY)
+        out = with_crc(np.zeros(16, dtype=np.uint8))
         assert np.array_equal(out[-6:], np.zeros(6, dtype=np.uint8))
 
     def test_append_then_check_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             msg = rng.integers(0, 2, size=rng.integers(1, 200), dtype=np.uint8)
-            assert pl.crc_check(pl.crc_append(msg, POLY), POLY)
+            assert crc_ok(with_crc(msg))
 
     def test_known_message_matches_long_division(self):
         msg = np.array([1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
-        out = pl.crc_append(msg, POLY)
+        out = with_crc(msg)
         assert list(out[-6:]) == crc_long_division(msg)
 
     def test_single_bit_flip_detected(self):
         rng = np.random.default_rng(4)
         msg = rng.integers(0, 2, size=64, dtype=np.uint8)
-        coded = pl.crc_append(msg, POLY)
+        coded = with_crc(msg)
         for pos in range(coded.size):
             corrupted = coded.copy()
             corrupted[pos] ^= 1
-            assert not pl.crc_check(corrupted, POLY)
+            assert not crc_ok(corrupted)
 
     def test_oracle_agreement_on_random_blocks(self):
         rng = np.random.default_rng(5)
@@ -61,11 +70,11 @@ class TestCrc:
         rows = rng.integers(0, 2, size=(200, 40), dtype=np.uint8)
         many = pl.crc_check_many(rows, POLY)
         for row, flag in zip(rows, many):
-            assert flag == pl.crc_check(row, POLY)
+            assert flag == crc_ok(row)
 
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError):
-            pl.crc_append(np.array([], dtype=np.uint8), POLY)
+            with_crc(np.array([], dtype=np.uint8))
 
 
 def bit_rows(max_len=1100):
@@ -92,11 +101,11 @@ class TestCrcProperties:
 
     @given(bit_vectors(max_len=1100))
     def test_appended_codeword_checks(self, msg):
-        assert pl.crc_check_many(pl.crc_append(msg, POLY)[None, :], POLY)[0]
+        assert crc_ok(with_crc(msg))
 
     @given(bit_vectors())
     def test_every_single_bit_flip_detected(self, msg):
-        coded = pl.crc_append(msg, POLY)
+        coded = with_crc(msg)
         flipped = coded[None, :] ^ np.eye(coded.size, dtype=np.uint8)
         assert not pl.crc_check_many(flipped, POLY).any()
 
@@ -120,6 +129,14 @@ class TestCrcProperties:
                 pl.crc_check_many(rows, poly)
             with pytest.raises(ValueError, match="constant term"):
                 pl.crc_remainder_many(rows, poly)
+
+    @pytest.mark.parametrize(
+        "poly, message",
+        [((1, 0), "constant term"), ((1, 2, 1), "0 or 1"), ((0, 1), "leading 1"), ((1,), "degree")],
+    )
+    def test_link_config_checks_its_poly_when_built(self, poly, message):
+        with pytest.raises(ValueError, match=message):
+            pl.LinkConfig(n_t=4, n_r=4, n_sc=32, snr_db=10.0, crc_poly=poly)
 
 
 class TestQam16:
@@ -348,27 +365,27 @@ class TestSvdPrecoder:
 
 class TestMmse:
     def test_identity_zero_noise(self):
-        w = pl.mmse_equalizer(np.eye(3).astype(complex), noise_var=0.0)
+        w = pl.mmse_equalizer(np.eye(3).astype(complex)[None], noise_var=0.0)[0]
         assert np.allclose(w, np.eye(3), atol=1e-12)
 
     def test_zero_forcing_limit(self):
         rng = np.random.default_rng(18)
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        w = pl.mmse_equalizer(h, noise_var=1e-12)
+        w = pl.mmse_equalizer(h[None], noise_var=1e-12)[0]
         assert np.abs(w - np.linalg.inv(h)).max() < 1e-6
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(19)
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         nv = 0.37
-        w = pl.mmse_equalizer(h, noise_var=nv)
+        w = pl.mmse_equalizer(h[None], noise_var=nv)[0]
         oracle = np.linalg.inv(h.conj().T @ h + nv * np.eye(2)) @ h.conj().T
         assert np.abs(w - oracle).max() < 1e-10
 
     def test_singular_channel_zero_noise_errors(self):
         h = np.zeros((2, 2), dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
-            pl.mmse_equalizer(h, noise_var=0.0)
+            pl.mmse_equalizer(h[None], noise_var=0.0)
 
 
 class TestNoiseVar:
@@ -381,6 +398,13 @@ class TestNoiseVar:
         cfg10 = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=10.0)
         ratio = pl.noise_var_from_snr(self.cfg) / pl.noise_var_from_snr(cfg10)
         assert ratio == pytest.approx(10.0, rel=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_out_of_range_snr_rejected(self, snr_db):
+        # 10**400 overflows a float and 10**-400 underflows to zero.
+        cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=snr_db)
+        with pytest.raises(ValueError, match="positive finite"):
+            pl.noise_var_from_snr(cfg)
 
 
 class TestRunLinkOnce:
