@@ -137,8 +137,10 @@ class ExperimentConfig:
             raise ValueError(f"SNR points must be unique, got {self.rhos}")
         if self.static_kappa not in self.kappas:
             raise ValueError("static_kappa must be one of the swept ratios")
+        # Profiles are compared by display name, so 'cdl_c', 'CDL-C' and a
+        # path to the same file all name one profile.
         names = [resolve_profile(p).name for p in self.profiles]
-        if self.adaptive_profile is not None and self.adaptive_profile not in names:
+        if self.adaptive_profile is not None and resolve_profile(self.adaptive_profile).name not in names:
             raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
         if self.master_seed < 0:
             raise ValueError("master seed must be a non-negative 64-bit integer")
@@ -473,7 +475,7 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     """
     profiles = [resolve_profile(p) for p in cfg.profiles]
     names = [p.name for p in profiles]
-    profile_idx = names.index(cfg.adaptive_profile) if cfg.adaptive_profile is not None else 0
+    profile_idx = 0 if cfg.adaptive_profile is None else names.index(resolve_profile(cfg.adaptive_profile).name)
     profile, profile_name = profiles[profile_idx], names[profile_idx]
 
     dataset = ad.build_dataset(row for row in sweep.rows if row["profile"] == profile_name)

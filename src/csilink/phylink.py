@@ -11,6 +11,11 @@ decision.
 A symbol's four bits are (b0 b1 b2 b3); (b0 b1) select the in-phase level and
 (b2 b3) the quadrature level, so 0000 -> (-3 - 3j)/sqrt(10). Detection ties
 are broken toward the smaller 4-bit Gray label.
+
+The per-subcarrier products of the chain use stacked ``@``; they differ from
+the ``einsum`` form only in the last bit, which moves no detection decision.
+The pilot path keeps ``einsum``, since ``matmul`` there changes the estimates'
+last bits and with them the sweep's ``recon_mse``.
 """
 
 from __future__ import annotations
@@ -315,9 +320,9 @@ def mmse_equalizer(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
     """W = (H^H H + noise_var*I)^{-1} H^H for each matrix of a (batch, m, n) stack."""
     h = np.asarray(h_eff, dtype=np.complex128)
     n = h.shape[-1]
-    gram = np.einsum("kij,kil->kjl", h.conj(), h)
-    gram = gram + noise_var * np.eye(n)[None, :, :]
-    return np.linalg.solve(gram, h.conj().transpose(0, 2, 1))
+    h_h = h.conj().transpose(0, 2, 1)
+    gram = h_h @ h + noise_var * np.eye(n)[None, :, :]
+    return np.linalg.solve(gram, h_h)
 
 
 def frame_codewords(payload: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -356,17 +361,17 @@ def run_link_once(payload, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: L
 
     pset = svd_precoder(h_recon, noise_var, cfg.subcarrier_power)
     g_h = pset.g.conj().transpose(0, 2, 1)
-    h_eff = np.einsum("ksr,krt,ktm->ksm", g_h, h_recon.data, pset.f)
+    h_eff = g_h @ h_recon.data @ pset.f
     w = mmse_equalizer(h_eff, noise_var)
-    chain_true = np.einsum("ksr,krt,ktm->ksm", g_h, h_true.data, pset.f)
-    a = np.einsum("ksm,kmn->ksn", w, chain_true)
-    b = np.einsum("ksm,kmr->ksr", w, g_h)
+    chain_true = g_h @ h_true.data @ pset.f
+    a = w @ chain_true
+    b = w @ g_h
 
     unit = rng.standard_normal((cfg.n_sc, cfg.n_r, n_periods)) + 1j * rng.standard_normal(
         (cfg.n_sc, cfg.n_r, n_periods)
     )
     noise = math.sqrt(noise_var / 2.0) * unit
-    z = np.einsum("ksn,knp->ksp", a, s_grid) + np.einsum("ksr,krp->ksp", b, noise)
+    z = a @ s_grid + b @ noise
 
     # MMSE biases the symbol amplitude; undo the per-stream effective gain.
     gain = np.real(np.einsum("ksm,kms->ks", w, h_eff))

@@ -57,6 +57,12 @@ def tiny_sweep(tmp_path_factory):
     return cfg, result, out
 
 
+@pytest.fixture(scope="module")
+def two_profile_sweep():
+    cfg = tiny_config(profiles=("cdl_e", "cdl_c"))
+    return cfg, ex.run_sweep(cfg)
+
+
 class TestConfig:
     def test_defaults_are_desk_scale(self):
         cfg = ex.ExperimentConfig()
@@ -106,6 +112,7 @@ class TestConfig:
             pytest.param(dict(ura_rows=0), "at least one element", id="empty_tx_array"),
             pytest.param(dict(static_kappa=0.9), "static_kappa", id="static_kappa_not_swept"),
             pytest.param(dict(adaptive_profile="CDL-C"), "adaptive profile", id="adaptive_profile_not_swept"),
+            pytest.param(dict(adaptive_profile="cdl_c"), "adaptive profile", id="adaptive_profile_file_name_not_swept"),
             pytest.param(dict(train=dict(epochs=0)), "epochs", id="zero_epochs"),
             pytest.param(dict(train=dict(batch_size=0)), "batch_size", id="zero_batch"),
             pytest.param(dict(train=dict(learning_rate=0.0)), "learning_rate", id="zero_learning_rate"),
@@ -127,6 +134,21 @@ class TestConfig:
             train = ex.TrainSettings(**raw.pop("train"))
             ex.ExperimentConfig(train=train, **raw)
 
+    def test_adaptive_profile_either_spelling(self, two_profile_sweep, tmp_path, monkeypatch):
+        """A profile's file name ('cdl_c') and display name ('CDL-C') name the
+        same profile: both load, and the adaptive traces run on that profile."""
+        cfg, sweep = two_profile_sweep
+        picked = {}
+        for spelling in ("cdl_c", "CDL-C"):
+            path = tmp_path / f"{spelling}.json"
+            ex.save_config(replace(cfg, adaptive_profile=spelling), path)
+            loaded = ex.load_config(path)
+            assert loaded.adaptive_profile == spelling
+            calls = record_calls(monkeypatch, ex, "evaluate_point")
+            ex.run_adaptive_experiment(loaded, sweep=sweep)
+            picked[spelling] = {(args[1].name, args[2]) for args in calls}
+            monkeypatch.undo()
+        assert picked["cdl_c"] == picked["CDL-C"] == {("CDL-C", 1)}
 
     def test_unknown_profile_rejected(self, tmp_path):
         raw = asdict(tiny_config())

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from csilink import chanmodel as cm
 from csilink import phylink as pl
+from csilink.metrics import ErrorCounts
 
 POLY = (1, 0, 1, 0, 0, 1, 1)  # x^6 + x^4 + x + 1
 
@@ -470,3 +471,122 @@ class TestRunLinkOnce:
             res = pl.run_link_once(payload, h, h, self.desk_config(snr), seed=12)
             bers.append(res.counts.ber)
         assert all(a >= b - 1e-12 for a, b in zip(bers, bers[1:]))
+
+
+def gray16_ber(gamma):
+    """Exact bit error rate of Gray-mapped square 16-QAM on AWGN at symbol
+    SNR gamma = Es/N0 (Cho & Yoon, IEEE Trans. Commun. 2002)."""
+    x = np.sqrt(np.asarray(gamma) / 5.0)
+
+    def q(v):  # Gaussian tail function
+        return 0.5 * np.vectorize(math.erfc)(v / math.sqrt(2.0))
+
+    return 0.25 * (3.0 * q(x) + 2.0 * q(3.0 * x) - q(5.0 * x))
+
+
+class TestLinkClosedForm:
+    """With perfect CSI, SVD precoding, MMSE combining and the gain
+    correction turn stream i on subcarrier k into an AWGN channel at SNR
+    sigma_ki^2 * p_ki / sigma_n^2, so each stream's measured BER must match
+    the subcarrier mean of the closed-form Gray 16-QAM BER."""
+
+    N_SC, N_R, N_T = 128, 4, 16
+    N_DRAWS = 6
+    # Bound in binomial stderrs. The theory is conditioned on the drawn
+    # channels, so only noise and payload are random. The binomial stderr
+    # treats every bit as independent, but the two bits on one axis of a
+    # symbol share a noise sample and err together, which can double the
+    # variance; 5 binomial stderrs is still over 3.5 true stderrs. With
+    # about 24 000 bits per stream this catches a 1 dB error in the noise
+    # scaling, the gain correction or the power split.
+    Z_BOUND = 5.0
+
+    @pytest.mark.parametrize("snr_db", [-12.0, -10.0, -8.0, -5.0])
+    def test_per_stream_ber_matches_gray_16qam(self, snr_db):
+        cfg = pl.LinkConfig(n_t=self.N_T, n_r=self.N_R, n_sc=self.N_SC, snr_db=snr_db)
+        noise_var = pl.noise_var_from_snr(cfg)
+        n_s = cfg.n_streams
+        rng = np.random.default_rng(20240611)
+        errors = np.zeros(n_s)
+        bits = np.zeros(n_s)
+        theory = np.zeros(n_s)
+        for draw in range(self.N_DRAWS):
+            h = random_channel(rng, self.N_SC, self.N_R, self.N_T)
+            # Whole codewords on every stream, so no row carries padding.
+            payload = rng.integers(0, 2, 8 * n_s * cfg.codeword_len, dtype=np.uint8)
+            res = pl.run_link_once(payload, h, h, cfg, seed=draw)
+            pset = pl.svd_precoder(h, noise_var, cfg.subcarrier_power)
+            assert np.all(pset.powers > 0), "every stream must be active on every subcarrier"
+
+            # Codeword row i is carried by stream i % n_streams.
+            wrong = (res.detected_bits != payload).reshape(-1, n_s, cfg.codeword_len)
+            errors += wrong.sum(axis=(0, 2))
+            bits += wrong[:, 0].size
+            gamma = pset.sigma**2 * pset.powers / noise_var
+            theory += gray16_ber(gamma).mean(axis=0) / self.N_DRAWS
+
+        measured = errors / bits
+        assert np.all((theory > 1e-3) & (theory < 0.4))
+        stderr = np.sqrt(theory * (1.0 - theory) / bits)
+        z = (measured - theory) / stderr
+        assert np.all(np.abs(z) < self.Z_BOUND), (measured, theory, z)
+
+
+def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
+    """The link chain of run_link_once written with the textbook einsum
+    products (and the einsum MMSE Gram), every other step shared."""
+    noise_var = pl.noise_var_from_snr(cfg)
+    rng = np.random.default_rng(seed)
+    tx_cw = pl.frame_codewords(payload, cfg)
+    n_cw, l_cw = tx_cw.shape
+    n_periods = n_cw // cfg.n_streams
+    coded = np.concatenate([tx_cw, pl.crc_remainder_many(tx_cw, cfg.crc_poly)], axis=1)
+    symbols = pl.qam16_modulate(coded.reshape(-1)).reshape(n_periods, cfg.n_streams, cfg.n_sc)
+    s_grid = symbols.transpose(2, 1, 0)
+
+    pset = pl.svd_precoder(h_recon, noise_var, cfg.subcarrier_power)
+    g_h = pset.g.conj().transpose(0, 2, 1)
+    h_eff = np.einsum("ksr,krt,ktm->ksm", g_h, h_recon.data, pset.f)
+    gram = np.einsum("kij,kil->kjl", h_eff.conj(), h_eff) + noise_var * np.eye(h_eff.shape[-1])
+    w = np.linalg.solve(gram, h_eff.conj().transpose(0, 2, 1))
+    chain_true = np.einsum("ksr,krt,ktm->ksm", g_h, h_true.data, pset.f)
+    a = np.einsum("ksm,kmn->ksn", w, chain_true)
+    b = np.einsum("ksm,kmr->ksr", w, g_h)
+    shape = (cfg.n_sc, cfg.n_r, n_periods)
+    noise = math.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    z = np.einsum("ksn,knp->ksp", a, s_grid) + np.einsum("ksr,krp->ksp", b, noise)
+    gain = np.real(np.einsum("ksm,kms->ks", w, h_eff))
+    z = z / np.where(gain > 1e-12, gain, 1.0)[:, :, None]
+
+    rx_rows = pl.qam16_detect(z.transpose(2, 1, 0).reshape(-1)).reshape(n_cw, l_cw + cfg.crc_degree)
+    crc_ok = pl.crc_check_many(rx_rows, cfg.crc_poly)
+    return ErrorCounts(
+        bit_errors=int(np.sum(rx_rows[:, :l_cw] != tx_cw)),
+        bits_total=tx_cw.size,
+        block_errors=int(np.sum(~crc_ok)),
+        blocks_total=n_cw,
+    )
+
+
+class TestLinkMatchesEinsumChain:
+    """run_link_once forms its per-subcarrier products with stacked matmul.
+    Those differ from the einsum form only in the last bit of each entry, and
+    an ulp-level shift moves no detection decision except on a draw that lands
+    within an ulp of a decision boundary, so the error counts must be equal."""
+
+    @pytest.mark.parametrize("n_r", [2, 4], ids=["tiny", "square"])
+    @pytest.mark.parametrize("profile_name", ["cdl_e", "cdl_c"])
+    def test_counts_equal_on_noisy_estimates(self, profile_name, n_r):
+        profile = cm.load_cdl_profile(cm.shipped_profile_path(profile_name))
+        geom = cm.UraGeometry(2, 2)
+        n_sc = 16
+        for seed in range(20):
+            h = cm.synthesize_csi(profile, geom, n_r, n_sc, 15e3, seed)
+            payload = np.random.default_rng(seed).integers(0, 2, 2000, dtype=np.uint8)
+            x = pl.generate_pilots(8, geom.n_elements, seed)
+            for snr_db in (0.0, 10.0, 20.0):
+                cfg = pl.LinkConfig(n_t=geom.n_elements, n_r=n_r, n_sc=n_sc, snr_db=snr_db)
+                noise_var = pl.noise_var_from_snr(cfg)
+                h_recon = pl.ls_estimate(pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
+                res = pl.run_link_once(payload, h, h_recon, cfg, seed=2000 + seed)
+                assert res.counts == einsum_link_counts(payload, h, h_recon, cfg, 2000 + seed), (seed, snr_db)
