@@ -408,6 +408,7 @@ def train(
     model.norm_min, model.norm_max = stats.lo, stats.hi
     x_train = normalize(train_raw, stats)
     x_val = normalize(val_raw, stats) if n_val else None
+    del train_raw, val_raw  # the epoch loop reads only the normalized split
 
     params = model.params()
     state = AdamState.for_params(params)

@@ -9,8 +9,12 @@ timing CSV to keep the result files deterministic.
 A user's block channels, payload and per-SNR LS estimates depend on neither
 the ratio nor the trace, so the last 32 (profile, user) realizations used in
 a process are cached with their estimates and shared read-only by the
-baseline, every ratio, every adaptive trace and the heatmap. Sharing changes
-no result byte: a cache miss redraws the same values from the same streams.
+baseline, every ratio, every adaptive trace and the heatmap. Each
+realization also keeps its transmitted blocks (codewords, symbols and unit
+link noise) per noise stream: the sweep's blocks serve every ratio and SNR,
+and the adaptive traces' blocks every (ratio, SNR) pair they evaluate.
+Sharing changes no result byte: a cache miss redraws the same values from
+the same streams.
 """
 
 from __future__ import annotations
@@ -266,11 +270,13 @@ def _train_codec(cfg: ExperimentConfig, data: np.ndarray, profile_idx: int, kapp
 
 @dataclass(frozen=True)
 class _Realization:
-    """One user's per-block (true channel, payload share) pairs, and the LS
-    estimates of those channels per SNR, filled in on first use."""
+    """One user's per-block (true channel, payload share) pairs, the LS
+    estimates of those channels per SNR and the transmitted blocks per
+    link-noise stream, both filled in on first use."""
 
     blocks: tuple[tuple[cm.ChannelTensor, np.ndarray], ...]
     estimates: dict[float, tuple[cm.ChannelTensor, ...]] = field(default_factory=dict)
+    transmissions: dict[int, tuple[pl.TxBlock, ...]] = field(default_factory=dict)
 
 
 @functools.lru_cache(maxsize=32)
@@ -324,6 +330,24 @@ def _user_estimates(
     return realization, estimates
 
 
+def _user_transmissions(
+    cfg: ExperimentConfig, realization: _Realization, profile_idx: int, user: int, seed_domain: int
+) -> tuple[pl.TxBlock, ...]:
+    """A realization's per-block transmitted blocks for the link-noise stream
+    ``seed_domain``. Framing, modulation and the unit noise depend on neither
+    the ratio nor the SNR, so every point of the stream reads one read-only
+    block."""
+    blocks = realization.transmissions.get(seed_domain)
+    if blocks is None:
+        link_cfg = cfg.link_config(cfg.rhos[0])  # framing is the same at every SNR
+        user_seed = cfg.user_seed(user)
+        blocks = realization.transmissions[seed_domain] = tuple(
+            pl.transmit_block(payload, link_cfg, stream_seed(user_seed, seed_domain, profile_idx, block))
+            for block, (_, payload) in enumerate(realization.blocks)
+        )
+    return blocks
+
+
 def evaluate_point(
     cfg: ExperimentConfig,
     profile: cm.CdlProfile,
@@ -336,18 +360,19 @@ def evaluate_point(
     """Run the chain for one (profile, ratio, SNR, user) point.
 
     Channel, payload and unit-noise streams do not depend on the ratio or the
-    SNR, so points are paired across both. Returns the merged error counts,
-    the mean reconstruction MSE (0 for the uncompressed baseline) and the
-    seconds spent in the codec.
+    SNR, so points are paired across both and read the realization's cached
+    estimates and transmitted blocks. Returns the merged error counts, the
+    mean reconstruction MSE (0 for the uncompressed baseline) and the seconds
+    spent in the codec.
     """
     link_cfg = cfg.link_config(rho_db)
-    user_seed = cfg.user_seed(user)
     realization, estimates = _user_estimates(cfg, profile, profile_idx, user, rho_db)
+    transmissions = _user_transmissions(cfg, realization, profile_idx, user, seed_domain)
 
     counts = ErrorCounts()
     mse_sum = 0.0
     watch = Stopwatch()
-    for block, ((h_true, payload), h_est) in enumerate(zip(realization.blocks, estimates)):
+    for (h_true, _), h_est, tx in zip(realization.blocks, estimates, transmissions):
         if model is None:
             h_rec = h_est
         else:
@@ -358,13 +383,7 @@ def evaluate_point(
                 codec.realify(codec.vectorize_csi(h_rec)),
                 cfg.dims,
             )
-        result = pl.run_link_once(
-            payload,
-            h_true,
-            h_rec,
-            link_cfg,
-            stream_seed(user_seed, seed_domain, profile_idx, block),
-        )
+        result = pl.run_link_once(tx, h_true, h_rec, link_cfg)
         counts = merge(counts, result.counts)
     recon_mse = mse_sum / cfg.n_blocks if model is not None else 0.0
     return counts, recon_mse, watch.get("codec")

@@ -12,6 +12,11 @@ A symbol's four bits are (b0 b1 b2 b3); (b0 b1) select the in-phase level and
 (b2 b3) the quadrature level, so 0000 -> (-3 - 3j)/sqrt(10). Detection ties
 are broken toward the smaller 4-bit Gray label.
 
+The chain is split where the channel first enters. ``transmit_block`` frames
+and modulates a block and draws its unit-variance link noise, none of which
+depends on the channel or the SNR, so one ``TxBlock`` serves every ratio and
+SNR of a realization. ``run_link_once`` takes it from the precoder on.
+
 The per-subcarrier products of the chain use stacked ``@``; they differ from
 the ``einsum`` form only in the last bit, which moves no detection decision.
 The pilot path keeps ``einsum``, since ``matmul`` there changes the estimates'
@@ -338,26 +343,63 @@ def frame_codewords(payload: np.ndarray, cfg: LinkConfig) -> np.ndarray:
     return padded.reshape(n_cw, l_cw)
 
 
-def run_link_once(payload, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: LinkConfig, seed) -> LinkResult:
-    """One pass of the full chain on a payload bit vector.
+@dataclass(frozen=True)
+class TxBlock:
+    """The transmit side of one block, everything before the channel enters:
+    the framed payload ``codewords`` (n_cw, codeword_len), the 16-QAM
+    ``symbols`` grid (n_sc, n_streams, n_periods), the unit-variance complex
+    ``unit_noise`` (n_sc, n_r, n_periods) the link scales by its SNR, the
+    payload length and the CRC generator. The arrays are read-only, so one
+    block can be shared by every ratio and SNR of a realization."""
 
-    The precoder, combiner and equalizer are derived from ``h_recon``;
-    propagation uses ``h_true``. Deterministic given the seed.
-    """
-    if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
-        raise ValueError("channel tensor dimensions do not match the link config")
-    noise_var = noise_var_from_snr(cfg)
-    rng = np.random.default_rng(seed)
+    codewords: np.ndarray
+    symbols: np.ndarray
+    unit_noise: np.ndarray
+    payload_bits: int
+    crc_poly: tuple[int, ...]
 
+
+def transmit_block(payload, cfg: LinkConfig, seed) -> TxBlock:
+    """Frame, CRC-protect and modulate a payload bit vector, and draw the link
+    noise of one block from ``seed``: the half of the chain that depends on
+    neither the channel nor the SNR."""
     tx_cw = frame_codewords(payload, cfg)
-    n_cw, l_cw = tx_cw.shape
-    n_periods = n_cw // cfg.n_streams
+    n_periods = tx_cw.shape[0] // cfg.n_streams
     coded = np.concatenate([tx_cw, crc_remainder_many(tx_cw, cfg.crc_poly)], axis=1)
 
     # Codeword (period p, stream s) occupies stream s across all subcarriers
     # of OFDM symbol period p: 4*n_sc coded bits per codeword.
     symbols = qam16_modulate(coded.reshape(-1)).reshape(n_periods, cfg.n_streams, cfg.n_sc)
-    s_grid = symbols.transpose(2, 1, 0)  # (n_sc, n_streams, n_periods)
+    s_grid = np.ascontiguousarray(symbols.transpose(2, 1, 0))
+
+    rng = np.random.default_rng(seed)
+    shape = (cfg.n_sc, cfg.n_r, n_periods)
+    unit = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for a in (tx_cw, s_grid, unit):
+        a.flags.writeable = False
+    return TxBlock(tx_cw, s_grid, unit, np.asarray(payload).size, tuple(cfg.crc_poly))
+
+
+def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: LinkConfig) -> LinkResult:
+    """One pass of a transmitted block through the channel and the receiver.
+
+    The precoder, combiner and equalizer are derived from ``h_recon``;
+    propagation uses ``h_true``, and the link noise is ``tx.unit_noise``
+    scaled to the SNR of ``cfg``. ``tx`` must come from ``transmit_block``
+    with the same subcarrier, antenna and CRC settings.
+    """
+    if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
+        raise ValueError("channel tensor dimensions do not match the link config")
+    if (
+        tx.codewords.shape[1] != cfg.codeword_len
+        or tx.symbols.shape[:2] != (cfg.n_sc, cfg.n_streams)
+        or tx.unit_noise.shape[:2] != (cfg.n_sc, cfg.n_r)
+        or tx.crc_poly != tuple(cfg.crc_poly)
+    ):
+        raise ValueError("transmitted block was not framed for the link config")
+    noise_var = noise_var_from_snr(cfg)
+    tx_cw = tx.codewords
+    n_cw, l_cw = tx_cw.shape
 
     pset = svd_precoder(h_recon, noise_var, cfg.subcarrier_power)
     g_h = pset.g.conj().transpose(0, 2, 1)
@@ -367,11 +409,8 @@ def run_link_once(payload, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: L
     a = w @ chain_true
     b = w @ g_h
 
-    unit = rng.standard_normal((cfg.n_sc, cfg.n_r, n_periods)) + 1j * rng.standard_normal(
-        (cfg.n_sc, cfg.n_r, n_periods)
-    )
-    noise = math.sqrt(noise_var / 2.0) * unit
-    z = a @ s_grid + b @ noise
+    noise = math.sqrt(noise_var / 2.0) * tx.unit_noise
+    z = a @ tx.symbols + b @ noise
 
     # MMSE biases the symbol amplitude; undo the per-stream effective gain.
     gain = np.real(np.einsum("ksm,kms->ks", w, h_eff))
@@ -390,5 +429,5 @@ def run_link_once(payload, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: L
         block_errors=int(np.sum(~crc_ok)),
         blocks_total=n_cw,
     )
-    detected = rx_payload.reshape(-1)[: np.asarray(payload).size]
+    detected = rx_payload.reshape(-1)[: tx.payload_bits]
     return LinkResult(detected_bits=detected, crc_ok=crc_ok, counts=counts)

@@ -272,3 +272,23 @@ def test_both_draws_check_their_arguments(draw, n_r, n_sc, delta_f, message):
     profile = make_profile([(0.0, 1.0, 0.0, 1.5, 0.0, 1.5)])
     with pytest.raises(ValueError, match=message):
         draw(profile, cm.UraGeometry(2, 2), n_r, n_sc, delta_f)
+
+
+@pytest.mark.parametrize("name, rank", [("cdl_c", 48), ("cdl_e", 28)])
+def test_realified_draws_span_two_dimensions_per_distinct_cluster(name, rank):
+    """Each draw is a sum over clusters of a random unit phasor times a fixed
+    complex vector, so realified draws span two real dimensions per distinct
+    (delay, angles) cluster, and clusters that share all of these merge. The
+    rank comes from the draws alone, not from a copy of the synthesis
+    formula: a random phase per antenna, a dropped cluster or two clusters
+    drawing one phase change it. The fixed steering and delay factors are
+    left to the oracles. Desk dims: 128 subcarriers, 4 rx, 4x4 tx."""
+    profile = cm.load_cdl_profile(cm.shipped_profile_path(name))
+    distinct = {(c.delay_s, c.aod_az, c.aod_zen, c.aoa_az, c.aoa_zen) for c in profile.clusters}
+    assert 2 * len(distinct) == rank
+    rows = []
+    for seed in range(120):
+        h = cm.synthesize_csi(profile, cm.UraGeometry(4, 4), 4, 128, 15e3, seed).data
+        rows.append(np.concatenate([h.real.ravel(), h.imag.ravel()]))
+    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    assert int(np.sum(s > 1e-10 * s[0])) == rank

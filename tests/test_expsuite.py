@@ -257,17 +257,58 @@ class TestRealizations:
 
     def test_realizations_are_read_only(self, monkeypatch):
         cfg = tiny_config()
+        profile = ex.resolve_profile("cdl_e")
         seen = record_calls(monkeypatch, pl, "run_link_once")
-        ex.evaluate_point(cfg, ex.resolve_profile("cdl_e"), 0, None, 10.0, 0)
+        ex.evaluate_point(cfg, profile, 0, None, 10.0, 0)
         assert len(seen) == cfg.n_blocks
-        for payload, h_true, h_recon, *_ in seen:
+        for _, payload in ex._user_realization(cfg, profile, 0, 0).blocks:
             with pytest.raises(ValueError):
                 payload[0] ^= 1
+        for tx, h_true, h_recon, *_ in seen:
+            for shared in (tx.codewords, tx.symbols, tx.unit_noise):
+                with pytest.raises(ValueError):
+                    shared.flat[0] = 0
             with pytest.raises(ValueError):
                 h_true.data[0, 0, 0] = 0.0
             # The baseline hands over the shared estimate itself.
             with pytest.raises(ValueError):
                 h_recon.data[0, 0, 0] = 0.0
+
+    def test_sweep_transmits_each_block_once_per_noise_stream(self, monkeypatch):
+        """Framing, modulation and the unit noise depend on neither the ratio
+        nor the SNR: the sweep transmits each (profile, user, block) once, and
+        the adaptive traces once more per (user, block) on their own stream."""
+        cfg = tiny_config(profiles=("cdl_e", "cdl_c"), n_blocks=2, master_seed=535353)
+        ex._user_realization.cache_clear()
+        sent = record_calls(monkeypatch, pl, "transmit_block")
+        framed = record_calls(monkeypatch, pl, "frame_codewords")
+        links = record_calls(monkeypatch, pl, "run_link_once")
+        sweep = ex.run_sweep(cfg)
+        assert len(sent) == len(cfg.profiles) * cfg.n_users * cfg.n_blocks
+        assert len(framed) == len(sent)
+        assert len(links) == len(cfg.profiles) * (1 + len(cfg.kappas)) * len(cfg.rhos) * cfg.n_users * cfg.n_blocks
+        sent.clear()
+        framed.clear()
+        ex.run_adaptive_experiment(cfg, sweep=sweep)
+        assert len(sent) == cfg.n_users * cfg.n_blocks
+        assert len(framed) == len(sent)
+
+    def test_cold_and_warm_transmissions_agree(self, tiny_sweep, monkeypatch):
+        """A point reads the blocks another SNR transmitted and counts what a
+        cold evaluation counts, on both link-noise streams."""
+        cfg, result, _ = tiny_sweep
+        profile = ex.resolve_profile("cdl_e")
+        model = result.models[("CDL-E", 0.5)]
+        sent = record_calls(monkeypatch, pl, "transmit_block")
+        for domain in (ex._NOISE, ex._ADAPT):
+            ex._user_realization.cache_clear()
+            cold = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1, seed_domain=domain)
+            ex._user_realization.cache_clear()
+            ex.evaluate_point(cfg, profile, 0, model, 10.0, 1, seed_domain=domain)
+            warm = ex.evaluate_point(cfg, profile, 0, model, 30.0, 1, seed_domain=domain)
+            assert len(sent) == 2 * cfg.n_blocks
+            assert cold[:2] == warm[:2]
+            sent.clear()
 
     def test_cold_and_warm_cache_agree(self, tiny_sweep, monkeypatch):
         cfg, result, _ = tiny_sweep

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -422,7 +423,7 @@ class TestRunLinkOnce:
         cfg = self.desk_config(snr_db=90.0)
         h = self.channel(1)
         payload = np.random.default_rng(2).integers(0, 2, 5000, dtype=np.uint8)
-        res = pl.run_link_once(payload, h, h, cfg, seed=3)
+        res = pl.run_link_once(pl.transmit_block(payload, cfg, 3), h, h, cfg)
         assert res.counts.bit_errors == 0
         assert res.crc_ok.all()
         assert np.array_equal(res.detected_bits, payload)
@@ -431,7 +432,7 @@ class TestRunLinkOnce:
         cfg = self.desk_config(snr_db=-60.0)
         h = self.channel(4)
         payload = np.random.default_rng(5).integers(0, 2, 20000, dtype=np.uint8)
-        res = pl.run_link_once(payload, h, h, cfg, seed=6)
+        res = pl.run_link_once(pl.transmit_block(payload, cfg, 6), h, h, cfg)
         assert abs(res.counts.ber - 0.5) < 0.05
 
     def test_high_snr_sanity_band_cdl_e(self):
@@ -441,7 +442,7 @@ class TestRunLinkOnce:
         for user in range(3):
             h = cm.synthesize_csi(profile, cm.UraGeometry(4, 4), 4, 128, 15e3, 100 + user)
             payload = np.random.default_rng(user).integers(0, 2, 40000, dtype=np.uint8)
-            res = pl.run_link_once(payload, h, h, cfg, seed=200 + user)
+            res = pl.run_link_once(pl.transmit_block(payload, cfg, 200 + user), h, h, cfg)
             total_err += res.counts.bit_errors
             total_bits += res.counts.bits_total
         assert total_err / total_bits < 1e-2
@@ -450,8 +451,8 @@ class TestRunLinkOnce:
         cfg = self.desk_config(snr_db=10.0)
         h = self.channel(7)
         payload = np.random.default_rng(8).integers(0, 2, 3000, dtype=np.uint8)
-        a = pl.run_link_once(payload, h, h, cfg, seed=9)
-        b = pl.run_link_once(payload, h, h, cfg, seed=9)
+        a = pl.run_link_once(pl.transmit_block(payload, cfg, 9), h, h, cfg)
+        b = pl.run_link_once(pl.transmit_block(payload, cfg, 9), h, h, cfg)
         assert a.counts == b.counts
         assert np.array_equal(a.detected_bits, b.detected_bits)
         assert np.array_equal(a.crc_ok, b.crc_ok)
@@ -461,14 +462,31 @@ class TestRunLinkOnce:
         h = self.channel(1)
         wrong = cm.ChannelTensor(np.ones((8, 4, 4), dtype=complex))
         with pytest.raises(ValueError):
-            pl.run_link_once(np.zeros(100, dtype=np.uint8), wrong, wrong, cfg, seed=0)
+            pl.run_link_once(pl.transmit_block(np.zeros(100, dtype=np.uint8), cfg, 0), wrong, wrong, cfg)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param(dict(n_sc=16), id="n_sc"),
+            pytest.param(dict(n_r=2), id="n_streams"),
+            pytest.param(dict(n_r=8), id="n_r"),
+            pytest.param(dict(crc_poly=(1, 0, 0, 0, 0, 1, 1)), id="crc_poly"),
+        ],
+    )
+    def test_block_framed_for_another_link_rejected(self, other):
+        cfg = self.desk_config(snr_db=10.0)
+        h = self.channel(1)
+        tx = pl.transmit_block(np.zeros(1000, dtype=np.uint8), replace(cfg, **other), 0)
+        with pytest.raises(ValueError, match="not framed for the link config"):
+            pl.run_link_once(tx, h, h, cfg)
 
     def test_ber_monotone_in_snr_on_common_noise(self):
         h = self.channel(10)
         payload = np.random.default_rng(11).integers(0, 2, 20000, dtype=np.uint8)
         bers = []
         for snr in (0.0, 10.0, 20.0, 30.0):
-            res = pl.run_link_once(payload, h, h, self.desk_config(snr), seed=12)
+            cfg = self.desk_config(snr)
+            res = pl.run_link_once(pl.transmit_block(payload, cfg, 12), h, h, cfg)
             bers.append(res.counts.ber)
         assert all(a >= b - 1e-12 for a, b in zip(bers, bers[1:]))
 
@@ -514,7 +532,7 @@ class TestLinkClosedForm:
             h = random_channel(rng, self.N_SC, self.N_R, self.N_T)
             # Whole codewords on every stream, so no row carries padding.
             payload = rng.integers(0, 2, 8 * n_s * cfg.codeword_len, dtype=np.uint8)
-            res = pl.run_link_once(payload, h, h, cfg, seed=draw)
+            res = pl.run_link_once(pl.transmit_block(payload, cfg, draw), h, h, cfg)
             pset = pl.svd_precoder(h, noise_var, cfg.subcarrier_power)
             assert np.all(pset.powers > 0), "every stream must be active on every subcarrier"
 
@@ -588,5 +606,5 @@ class TestLinkMatchesEinsumChain:
                 cfg = pl.LinkConfig(n_t=geom.n_elements, n_r=n_r, n_sc=n_sc, snr_db=snr_db)
                 noise_var = pl.noise_var_from_snr(cfg)
                 h_recon = pl.ls_estimate(pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
-                res = pl.run_link_once(payload, h, h_recon, cfg, seed=2000 + seed)
+                res = pl.run_link_once(pl.transmit_block(payload, cfg, 2000 + seed), h, h_recon, cfg)
                 assert res.counts == einsum_link_counts(payload, h, h_recon, cfg, 2000 + seed), (seed, snr_db)
