@@ -27,12 +27,12 @@ from __future__ import annotations
 import io
 import math
 import struct
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chanmodel import ChannelTensor
-from .metrics import Stopwatch
 
 WIRE_MAGIC = b"CSIC"
 WIRE_VERSION = 1
@@ -413,19 +413,18 @@ def train(
     params = model.params()
     state = AdamState.for_params(params)
     train_curve, val_curve = [], []
-    watch = Stopwatch()
-    with watch.section("epochs"):
-        for _ in range(epochs):
-            perm = rng.permutation(x_train.shape[0])
-            losses = []
-            for lo in range(0, x_train.shape[0], batch_size):
-                chunk = x_train[perm[lo : lo + batch_size]]
-                loss, grads = backprop(model, chunk)
-                adam_step(params, grads, state, learning_rate)
-                losses.append(loss)
-            train_curve.append(float(np.mean(losses)))
-            val_curve.append(_batch_loss(model, x_val) if x_val is not None else float("nan"))
-    return model, TrainHistory(train_loss=train_curve, val_loss=val_curve, duration_s=watch.get("epochs"))
+    start = time.perf_counter()
+    for _ in range(epochs):
+        perm = rng.permutation(x_train.shape[0])
+        losses = []
+        for lo in range(0, x_train.shape[0], batch_size):
+            chunk = x_train[perm[lo : lo + batch_size]]
+            loss, grads = backprop(model, chunk)
+            adam_step(params, grads, state, learning_rate)
+            losses.append(loss)
+        train_curve.append(float(np.mean(losses)))
+        val_curve.append(_batch_loss(model, x_val) if x_val is not None else float("nan"))
+    return model, TrainHistory(train_loss=train_curve, val_loss=val_curve, duration_s=time.perf_counter() - start)
 
 
 def quantize(v) -> np.ndarray:
@@ -542,7 +541,8 @@ def _read_section(stream, size: int, section: str) -> bytes:
 
 def load_model(path) -> AutoencoderModel:
     """Inverse of save_model. Raises WireFormatError naming the section that
-    is short, on a ratio, dims or layer stack that ae_init would not build,
+    is short or not finite, on normalization stats that are not a finite
+    min < max, on a ratio, dims or layer stack that ae_init would not build,
     and on bytes past the normalization stats."""
     # Parsed from memory, so a corrupt shape cannot request a huge read.
     with open(path, "rb") as fh:
@@ -570,7 +570,14 @@ def load_model(path) -> AutoencoderModel:
         w = _read_section(stream, 8 * fi * fo, f"weights {i}")
         weights.append(np.frombuffer(w, dtype="<f8").reshape(fi, fo).copy())
         biases.append(np.frombuffer(_read_section(stream, 8 * fo, f"biases {i}"), dtype="<f8").copy())
+    for name, arrays in (("weights", weights), ("biases", biases)):
+        for i, a in enumerate(arrays):
+            if not np.isfinite(a).all():
+                raise WireFormatError(f"non-finite entries in {name} {i}")
     norm_min, norm_max = struct.unpack("<dd", _read_section(stream, 16, "normalization stats"))
+    # A finite span also rules out an infinite or NaN end.
+    if not (norm_max > norm_min and math.isfinite(norm_max - norm_min)):
+        raise WireFormatError(f"normalization stats ({norm_min}, {norm_max}) are not a finite min below max")
     if stream.read(1):
         raise WireFormatError("trailing bytes after the normalization stats")
     return AutoencoderModel(

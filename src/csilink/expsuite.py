@@ -3,8 +3,8 @@ adaptive-policy experiment, and CSV emission.
 
 Every random draw flows from the 64-bit master seed through named
 SeedSequence-derived streams, so a rerun with the same config file and seed
-reproduces results byte-for-byte. Wall-clock measurements go to a separate
-timing CSV to keep the result files deterministic.
+reproduces results byte-for-byte. Wall-clock seconds go to a separate timing
+CSV, one row per (profile, ratio) group, to keep the result files deterministic.
 
 A user's block channels, payload and per-SNR LS estimates depend on neither
 the ratio nor the trace, so the last 32 (profile, user) realizations used in
@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -33,7 +34,7 @@ from . import adaptive as ad
 from . import codec
 from . import chanmodel as cm
 from . import phylink as pl
-from .metrics import ErrorCounts, Stopwatch, merge
+from .metrics import ErrorCounts, merge
 
 MASK64 = (1 << 64) - 1
 
@@ -146,7 +147,9 @@ class ExperimentConfig:
         names = [resolve_profile(p).name for p in self.profiles]
         if self.adaptive_profile is not None and resolve_profile(self.adaptive_profile).name not in names:
             raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
-        if self.master_seed < 0:
+        if not 0.0 <= self.b_max <= 1.0:
+            raise ValueError(f"b_max must be a BLER ceiling in [0, 1], got {self.b_max}")
+        if not 0 <= self.master_seed <= MASK64:
             raise ValueError("master seed must be a non-negative 64-bit integer")
 
     @property
@@ -201,12 +204,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    data = asdict(cfg)
-    data["profiles"] = list(cfg.profiles)
-    data["kappas"] = list(cfg.kappas)
-    data["rhos"] = list(cfg.rhos)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
+        json.dump(asdict(cfg), fh, indent=2)
         fh.write("\n")
 
 
@@ -322,8 +321,8 @@ def _user_estimates(
                 stream_seed(user_seed, _PILOT, profile_idx, block),
                 orthogonal=cfg.orthogonal_pilots,
             )
-            pb = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
-            h_est = pl.ls_estimate(pb)
+            y = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
+            h_est = pl.ls_estimate(pilots, y)
             h_est.data.flags.writeable = False
             estimates.append(h_est)
         estimates = realization.estimates[rho_db] = tuple(estimates)
@@ -371,93 +370,83 @@ def evaluate_point(
 
     counts = ErrorCounts()
     mse_sum = 0.0
-    watch = Stopwatch()
+    codec_seconds = 0.0
     for (h_true, _), h_est, tx in zip(realization.blocks, estimates, transmissions):
         if model is None:
             h_rec = h_est
         else:
-            with watch.section("codec"):
-                h_rec = codec.decompress(model, codec.compress(model, h_est))
+            start = time.perf_counter()
+            h_rec = codec.decompress(model, codec.compress(model, h_est))
+            codec_seconds += time.perf_counter() - start
             mse_sum += codec.mse_loss(
                 codec.realify(codec.vectorize_csi(h_est)),
                 codec.realify(codec.vectorize_csi(h_rec)),
                 cfg.dims,
             )
-        result = pl.run_link_once(tx, h_true, h_rec, link_cfg)
-        counts = merge(counts, result.counts)
-    recon_mse = mse_sum / cfg.n_blocks if model is not None else 0.0
-    return counts, recon_mse, watch.get("codec")
+        counts = merge(counts, pl.run_link_once(tx, h_true, h_rec, link_cfg).counts)
+    return counts, mse_sum / cfg.n_blocks, codec_seconds
 
 
 def _sweep_group(args):
-    """All (rho, user) points for one (profile, kappa); runs in a worker.
+    """All (rho, user) points for one (profile, kappa) and its sweep_timing.csv
+    row; runs in a worker. ``bundle`` is None for the uncompressed baseline.
 
     Users are the outer loop, so each user's realization is used for every
     SNR while it is cached, whatever the number of users; the rows keep the
     SNR-major order of sweep.csv."""
-    cfg, profile, profile_idx, kappa, model = args
+    cfg, profile, profile_idx, kappa, bundle = args
+    model = bundle.model if bundle is not None else None
+    head = {"profile": profile.name, "ura": cfg.ura_label, "kappa": float(kappa)}
     rows = [None] * (len(cfg.rhos) * cfg.n_users)
     codec_seconds = 0.0
-    watch = Stopwatch()
-    with watch.section("eval"):
-        for user in range(cfg.n_users):
-            for i_rho, rho in enumerate(cfg.rhos):
-                counts, recon_mse, csec = evaluate_point(cfg, profile, profile_idx, model, rho, user)
-                codec_seconds += csec
-                rows[i_rho * cfg.n_users + user] = {
-                    "profile": profile.name,
-                    "ura": cfg.ura_label,
-                    "kappa": float(kappa),
-                    "rho_db": float(rho),
-                    "user_seed": cfg.user_seed(user),
-                    "ber": counts.ber,
-                    "ber_stderr": counts.ber_stderr,
-                    "bler": counts.bler,
-                    "bler_stderr": counts.bler_stderr,
-                    "recon_mse": recon_mse,
-                }
-    return (profile_idx, float(kappa)), rows, codec_seconds, watch.get("eval")
+    start = time.perf_counter()
+    for user in range(cfg.n_users):
+        for i_rho, rho in enumerate(cfg.rhos):
+            counts, recon_mse, csec = evaluate_point(cfg, profile, profile_idx, model, rho, user)
+            codec_seconds += csec
+            rows[i_rho * cfg.n_users + user] = {
+                **head,
+                "rho_db": float(rho),
+                "user_seed": cfg.user_seed(user),
+                "ber": counts.ber,
+                "ber_stderr": counts.ber_stderr,
+                "bler": counts.bler,
+                "bler_stderr": counts.bler_stderr,
+                "recon_mse": recon_mse,
+            }
+    timing = {
+        **head,
+        "train_seconds": bundle.history.duration_s if bundle is not None else 0.0,
+        "codec_seconds": codec_seconds,
+        "eval_seconds": time.perf_counter() - start,
+    }
+    return rows, timing
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepResult:
     """Static-ratio sweep over (profile, ratio incl. the uncompressed
     baseline, SNR, user). Fully deterministic given the master seed."""
     profiles = [resolve_profile(p) for p in cfg.profiles]
-    models: dict[tuple[str, float], codec.AutoencoderModel] = {}
-    histories: dict[tuple[str, float], codec.TrainHistory] = {}
+    bundles: dict[tuple[str, float], CodecBundle] = {}
     for pidx, profile in enumerate(profiles):
         for kappa, bundle in train_codec_family(cfg, profile, pidx).items():
-            models[(profile.name, kappa)] = bundle.model
-            histories[(profile.name, kappa)] = bundle.history
+            bundles[(profile.name, kappa)] = bundle
 
-    groups = []
-    for pidx, profile in enumerate(profiles):
-        for kappa in (0.0, *cfg.kappas):
-            model = models.get((profile.name, kappa))
-            groups.append((cfg, profile, pidx, kappa, model))
-
+    groups = [
+        (cfg, profile, pidx, kappa, bundles.get((profile.name, kappa)))
+        for pidx, profile in enumerate(profiles)
+        for kappa in (0.0, *cfg.kappas)
+    ]
     # Both paths return the results in group order, the row order of sweep.csv.
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_group, groups))
     else:
         results = [_sweep_group(g) for g in groups]
-
-    rows: list[dict] = []
-    timing: list[dict] = []
-    for (pidx, kappa), group_rows, codec_seconds, eval_seconds in results:
-        rows.extend(group_rows)
-        history = histories.get((profiles[pidx].name, kappa))
-        timing.append(
-            {
-                "profile": profiles[pidx].name,
-                "ura": cfg.ura_label,
-                "kappa": kappa,
-                "train_seconds": history.duration_s if history is not None else 0.0,
-                "codec_seconds": codec_seconds,
-                "eval_seconds": eval_seconds,
-            }
-        )
+    rows = [row for group_rows, _ in results for row in group_rows]
+    timing = [group_timing for _, group_timing in results]
+    histories = {key: bundle.history for key, bundle in bundles.items()}
+    models = {key: bundle.model for key, bundle in bundles.items()}
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -1,11 +1,9 @@
 """Error-rate bookkeeping: mergeable bit/block error counters with their
-BER, BLER and standard errors, and wall-clock sections."""
+BER, BLER and standard errors."""
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 
@@ -56,23 +54,3 @@ def rate_stderr(p: float, n: int) -> float:
     if n <= 0:
         return 0.0
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
-
-
-class Stopwatch:
-    """Accumulates monotonic-clock durations per section label."""
-
-    def __init__(self):
-        self.totals: dict[str, float] = {}
-
-    @contextmanager
-    def section(self, label: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.totals[label] = self.totals.get(label, 0.0) + elapsed
-
-    def get(self, label: str) -> float:
-        return self.totals.get(label, 0.0)
-

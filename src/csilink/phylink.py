@@ -15,7 +15,8 @@ are broken toward the smaller 4-bit Gray label.
 The chain is split where the channel first enters. ``transmit_block`` frames
 and modulates a block and draws its unit-variance link noise, none of which
 depends on the channel or the SNR, so one ``TxBlock`` serves every ratio and
-SNR of a realization. ``run_link_once`` takes it from the precoder on.
+SNR of a realization. The block keeps the ``LinkConfig`` it was framed with;
+``run_link_once`` takes it from the precoder on, at any SNR of that config.
 
 The per-subcarrier products of the chain use stacked ``@``; they differ from
 the ``einsum`` form only in the last bit, which moves no detection decision.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class LinkConfig:
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.n_sc) < 1:
             raise ValueError("antenna/subcarrier counts must be positive")
-        _as_poly_array(self.crc_poly)
+        # One form of the generator, so configs compare and hash by value.
+        object.__setattr__(self, "crc_poly", tuple(_as_poly_array(self.crc_poly).tolist()))
 
     @property
     def n_streams(self) -> int:
@@ -78,15 +80,6 @@ class LinkConfig:
     def subcarrier_power(self) -> float:
         """Transmit power budget per subcarrier."""
         return TOTAL_POWER / self.n_sc
-
-
-@dataclass
-class PilotBlock:
-    """Pilot transmission: x_pilot is (n_pilot, n_t), y_pilot is
-    (n_sc, n_pilot, n_r) observed as Y_k = X @ H_k^T + N_k."""
-
-    x_pilot: np.ndarray
-    y_pilot: np.ndarray
 
 
 @dataclass
@@ -225,8 +218,9 @@ def generate_pilots(n_pilot: int, n_t: int, seed, orthogonal: bool = False) -> n
     raise RuntimeError("failed to draw a well-conditioned pilot matrix")
 
 
-def observe_pilots(h: ChannelTensor, x_pilot: np.ndarray, noise_var: float, seed) -> PilotBlock:
-    """Received pilots per subcarrier, Y_k = X @ H_k^T + N_k."""
+def observe_pilots(h: ChannelTensor, x_pilot: np.ndarray, noise_var: float, seed) -> np.ndarray:
+    """Received pilots (n_sc, n_pilot, n_r) for the pilot matrix x_pilot
+    (n_pilot, n_t), per subcarrier Y_k = X @ H_k^T + N_k."""
     rng = np.random.default_rng(seed)
     clean = np.einsum("pt,krt->kpr", x_pilot, h.data)
     if noise_var > 0:
@@ -235,18 +229,19 @@ def observe_pilots(h: ChannelTensor, x_pilot: np.ndarray, noise_var: float, seed
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
         clean = clean + noise
-    return PilotBlock(x_pilot=x_pilot, y_pilot=clean)
+    return clean
 
 
-def ls_estimate(pb: PilotBlock) -> ChannelTensor:
-    """Least-squares channel estimate per subcarrier.
+def ls_estimate(x_pilot: np.ndarray, y_pilot: np.ndarray) -> ChannelTensor:
+    """Least-squares channel estimate per subcarrier from the pilot matrix
+    (n_pilot, n_t) and the received pilots (n_sc, n_pilot, n_r).
 
     With Y_k = X H_k^T + N the normal equations give
     H_k^T = (X^H X)^{-1} X^H Y_k. A singular X^H X raises LinAlgError rather
     than being silently regularized.
     """
-    x = np.asarray(pb.x_pilot)
-    y = np.asarray(pb.y_pilot)
+    x = np.asarray(x_pilot)
+    y = np.asarray(y_pilot)
     gram = x.conj().T @ x
     rhs = np.einsum("pt,kpr->ktr", x.conj(), y)
     ht = np.linalg.solve(gram[None, :, :], rhs)
@@ -349,14 +344,15 @@ class TxBlock:
     the framed payload ``codewords`` (n_cw, codeword_len), the 16-QAM
     ``symbols`` grid (n_sc, n_streams, n_periods), the unit-variance complex
     ``unit_noise`` (n_sc, n_r, n_periods) the link scales by its SNR, the
-    payload length and the CRC generator. The arrays are read-only, so one
-    block can be shared by every ratio and SNR of a realization."""
+    payload length and the link config ``cfg`` it was framed with. The arrays
+    are read-only, so one block can be shared by every ratio and SNR of a
+    realization."""
 
     codewords: np.ndarray
     symbols: np.ndarray
     unit_noise: np.ndarray
     payload_bits: int
-    crc_poly: tuple[int, ...]
+    cfg: LinkConfig
 
 
 def transmit_block(payload, cfg: LinkConfig, seed) -> TxBlock:
@@ -377,7 +373,7 @@ def transmit_block(payload, cfg: LinkConfig, seed) -> TxBlock:
     unit = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for a in (tx_cw, s_grid, unit):
         a.flags.writeable = False
-    return TxBlock(tx_cw, s_grid, unit, np.asarray(payload).size, tuple(cfg.crc_poly))
+    return TxBlock(tx_cw, s_grid, unit, np.asarray(payload).size, cfg)
 
 
 def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: LinkConfig) -> LinkResult:
@@ -386,18 +382,13 @@ def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cf
     The precoder, combiner and equalizer are derived from ``h_recon``;
     propagation uses ``h_true``, and the link noise is ``tx.unit_noise``
     scaled to the SNR of ``cfg``. ``tx`` must come from ``transmit_block``
-    with the same subcarrier, antenna and CRC settings.
+    with a config equal to ``cfg`` in every field but the SNR.
     """
     if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
         raise ValueError("channel tensor dimensions do not match the link config")
-    if (
-        tx.codewords.shape[1] != cfg.codeword_len
-        or tx.symbols.shape[:2] != (cfg.n_sc, cfg.n_streams)
-        or tx.unit_noise.shape[:2] != (cfg.n_sc, cfg.n_r)
-        or tx.crc_poly != tuple(cfg.crc_poly)
-    ):
-        raise ValueError("transmitted block was not framed for the link config")
     noise_var = noise_var_from_snr(cfg)
+    if replace(tx.cfg, snr_db=cfg.snr_db) != cfg:
+        raise ValueError("transmitted block was not framed for the link config")
     tx_cw = tx.codewords
     n_cw, l_cw = tx_cw.shape
 

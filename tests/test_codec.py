@@ -668,6 +668,30 @@ class TestModelPersistence:
         for ba, bb in zip(model.biases, back.biases):
             assert np.array_equal(ba, bb)
 
+    @pytest.mark.parametrize(
+        "lo, hi, layer, section",
+        [
+            pytest.param(1.0, 1.0, None, "normalization stats", id="equal_stats"),
+            pytest.param(2.0, 1.0, None, "normalization stats", id="min_above_max"),
+            pytest.param(float("nan"), 1.0, None, "normalization stats", id="nan_stat"),
+            pytest.param(-float("inf"), float("inf"), None, "normalization stats", id="infinite_stats"),
+            pytest.param(0.0, 1.0, ("weights", 3), "weights 3", id="nan_weight"),
+            pytest.param(0.0, 1.0, ("biases", 1), "biases 1", id="nan_bias"),
+        ],
+    )
+    def test_malformed_values_rejected(self, tmp_path, lo, hi, layer, section):
+        """A model that would fail or yield NaN at its first compress fails
+        at load, naming the section."""
+        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
+        model.norm_min, model.norm_max = lo, hi
+        if layer is not None:
+            name, i = layer
+            getattr(model, name)[i][0] = np.nan
+        path = tmp_path / "bad.bin"
+        codec.save_model(model, path)
+        with pytest.raises(codec.WireFormatError, match=section):
+            codec.load_model(path)
+
     @staticmethod
     def write_model(path, kappa, dims, shapes):
         """A model file with the given header and layer shapes, zero weights."""

@@ -53,6 +53,7 @@ def record_calls(monkeypatch, module, attr):
 def tiny_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     cfg = tiny_config()
+    ex._user_realization.cache_clear()
     result = ex.run_sweep(cfg, out_dir=out)
     return cfg, result, out
 
@@ -119,6 +120,10 @@ class TestConfig:
             pytest.param(dict(train=dict(dataset_size=0)), "dataset_size", id="empty_dataset"),
             pytest.param(dict(train=dict(val_fraction=-0.1)), "val_fraction", id="negative_val_fraction"),
             pytest.param(dict(train=dict(val_fraction=1.0)), "val_fraction", id="no_training_sample"),
+            pytest.param(dict(b_max=-1.0), "b_max", id="negative_bler_ceiling"),
+            pytest.param(dict(b_max=float("nan")), "b_max", id="nan_bler_ceiling"),
+            pytest.param(dict(b_max=2.0), "b_max", id="bler_ceiling_above_one"),
+            pytest.param(dict(master_seed=2**64 + 555), "64-bit", id="seed_above_64_bits"),
         ],
     )
     def test_validation(self, overrides, message, tmp_path):
@@ -192,14 +197,17 @@ class TestRunSweep:
     def test_rerun_reproduces_csv_bytes(self, tmp_path):
         cfg = tiny_config()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        ex.run_sweep(cfg, out_dir=out_a)
-        ex.run_sweep(cfg, out_dir=out_b)
+        for out in (out_a, out_b):
+            ex._user_realization.cache_clear()  # each run re-derives its draws
+            ex.run_sweep(cfg, out_dir=out)
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
     def test_history_files_written(self, tmp_path):
         cfg = tiny_config(profiles=("cdl_c", "cdl_e"), kappas=(0.5, 0.7), static_kappa=0.5)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
+        ex._user_realization.cache_clear()
         result = ex.run_sweep(cfg, out_dir=out_a)
+        ex._user_realization.cache_clear()
         ex.run_sweep(cfg, out_dir=out_b)
         names = sorted(p.name for p in out_a.glob("history_*.csv"))
         assert names == [f"history_{p}_{k}.csv" for p in ("CDL-C", "CDL-E") for k in (0.5, 0.7)]
@@ -218,6 +226,7 @@ class TestRunSweep:
 
     def test_parallel_workers_match_serial(self, tiny_sweep):
         cfg, result, _ = tiny_sweep
+        ex._user_realization.cache_clear()  # forked workers would inherit it
         parallel = ex.run_sweep(cfg, threads=2)
         assert parallel.rows == result.rows
 
@@ -503,9 +512,16 @@ class TestCli:
         ex.save_config(tiny_config(), cfg_path)
         outs = {n: tmp_path / f"adaptive_{n}" for n in ("1", "2")}
         for n, out in outs.items():
+            ex._user_realization.cache_clear()
             assert cli.main(["adaptive", "--config", str(cfg_path), "--out", str(out), "--threads", n]) == 0
         for name in ("adaptive.csv", "policy.csv"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_seed_override_out_of_range_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        ex.save_config(tiny_config(), cfg_path)
+        with pytest.raises(ValueError, match="64-bit"):
+            cli.main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", str(2**64)])
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

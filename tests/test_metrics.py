@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -58,21 +56,3 @@ class TestErrorCounts:
     def test_stderr_formula(self):
         c = mt.ErrorCounts(25, 100, 0, 1)
         assert c.ber_stderr == pytest.approx((0.25 * 0.75 / 100) ** 0.5)
-
-
-class TestStopwatch:
-    def test_nested_sections_bounded_by_parent(self):
-        sw = mt.Stopwatch()
-        with sw.section("parent"):
-            with sw.section("child_a"):
-                time.sleep(0.01)
-            with sw.section("child_b"):
-                time.sleep(0.01)
-        assert sw.get("child_a") + sw.get("child_b") <= sw.get("parent")
-
-    def test_accumulates_across_entries(self):
-        sw = mt.Stopwatch()
-        for _ in range(3):
-            with sw.section("loop"):
-                pass
-        assert sw.get("loop") >= 0.0

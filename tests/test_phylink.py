@@ -231,8 +231,8 @@ class TestLsEstimate:
         rng = np.random.default_rng(11)
         h = random_channel(rng, 4, 3, 4)
         x = pl.generate_pilots(8, 4, 0)
-        pb = pl.observe_pilots(h, x, noise_var=0.0, seed=0)
-        est = pl.ls_estimate(pb)
+        y = pl.observe_pilots(h, x, noise_var=0.0, seed=0)
+        est = pl.ls_estimate(x, y)
         rel = np.linalg.norm(est.data - h.data) / np.linalg.norm(h.data)
         assert rel < 1e-10
 
@@ -240,21 +240,21 @@ class TestLsEstimate:
         rng = np.random.default_rng(12)
         h = random_channel(rng, 2, 2, 4)
         x = pl.generate_pilots(8, 4, 3, orthogonal=True)
-        pb = pl.observe_pilots(h, x, noise_var=0.05, seed=4)
-        est = pl.ls_estimate(pb)
+        y = pl.observe_pilots(h, x, noise_var=0.05, seed=4)
+        est = pl.ls_estimate(x, y)
         # X^H X = c I with c = n_pilot, so the estimate is X^H Y / c transposed.
-        manual = np.einsum("pt,kpr->ktr", x.conj(), pb.y_pilot) / 8.0
+        manual = np.einsum("pt,kpr->ktr", x.conj(), y) / 8.0
         assert np.allclose(est.data, manual.transpose(0, 2, 1), atol=1e-12)
 
     def test_noisy_case_matches_pinv_oracle(self):
         rng = np.random.default_rng(13)
         h = random_channel(rng, 3, 2, 4)
         x = pl.generate_pilots(6, 4, 7)
-        pb = pl.observe_pilots(h, x, noise_var=0.1, seed=21)
-        est = pl.ls_estimate(pb)
+        y = pl.observe_pilots(h, x, noise_var=0.1, seed=21)
+        est = pl.ls_estimate(x, y)
         pinv = np.linalg.pinv(x)
         for k in range(3):
-            oracle = (pinv @ pb.y_pilot[k]).T
+            oracle = (pinv @ y[k]).T
             assert np.abs(est.data[k] - oracle).max() < 1e-8
 
 
@@ -471,6 +471,8 @@ class TestRunLinkOnce:
             pytest.param(dict(n_r=2), id="n_streams"),
             pytest.param(dict(n_r=8), id="n_r"),
             pytest.param(dict(crc_poly=(1, 0, 0, 0, 0, 1, 1)), id="crc_poly"),
+            # Same streams, codeword length and noise shape: only the config tells.
+            pytest.param(dict(n_t=8), id="n_t"),
         ],
     )
     def test_block_framed_for_another_link_rejected(self, other):
@@ -479,6 +481,14 @@ class TestRunLinkOnce:
         tx = pl.transmit_block(np.zeros(1000, dtype=np.uint8), replace(cfg, **other), 0)
         with pytest.raises(ValueError, match="not framed for the link config"):
             pl.run_link_once(tx, h, h, cfg)
+
+    @pytest.mark.parametrize("poly", [list(pl.DEFAULT_CRC_POLY), np.array(pl.DEFAULT_CRC_POLY)], ids=["list", "array"])
+    def test_block_framed_with_another_spelling_of_the_poly_accepted(self, poly):
+        cfg = self.desk_config(snr_db=10.0)
+        h = self.channel(1)
+        payload = np.zeros(1000, dtype=np.uint8)
+        spelled = pl.run_link_once(pl.transmit_block(payload, replace(cfg, crc_poly=poly), 0), h, h, cfg)
+        assert spelled.counts == pl.run_link_once(pl.transmit_block(payload, cfg, 0), h, h, cfg).counts
 
     def test_ber_monotone_in_snr_on_common_noise(self):
         h = self.channel(10)
@@ -605,6 +615,6 @@ class TestLinkMatchesEinsumChain:
             for snr_db in (0.0, 10.0, 20.0):
                 cfg = pl.LinkConfig(n_t=geom.n_elements, n_r=n_r, n_sc=n_sc, snr_db=snr_db)
                 noise_var = pl.noise_var_from_snr(cfg)
-                h_recon = pl.ls_estimate(pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
+                h_recon = pl.ls_estimate(x, pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
                 res = pl.run_link_once(pl.transmit_block(payload, cfg, 2000 + seed), h, h_recon, cfg)
                 assert res.counts == einsum_link_counts(payload, h, h_recon, cfg, 2000 + seed), (seed, snr_db)
