@@ -23,10 +23,11 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -71,6 +72,16 @@ def stream_seed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(p) & MASK64 for p in parts])
 
 
+def _check_integer_fields(settings) -> None:
+    """Reject a non-integer in any field declared ``int``. JSON spells 2e5
+    and 2.0 as floats, which numpy would only refuse deep in a sweep, and a
+    bool would pass as 0 or 1."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainSettings:
     epochs: int = 64
@@ -80,6 +91,7 @@ class TrainSettings:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        _check_integer_fields(self)
         if self.epochs < 1 or self.batch_size < 1 or self.dataset_size < 1:
             raise ValueError("epochs, batch_size and dataset_size must be >= 1")
         if not self.learning_rate > 0:
@@ -116,6 +128,7 @@ class ExperimentConfig:
         built or loaded rather than after codec training. Where a library
         object owns a rule (the array geometry, the link dimensions and SNR,
         the profile files), the check builds that object."""
+        _check_integer_fields(self)
         if not self.profiles:
             raise ValueError("need at least one channel profile")
         if not self.rhos:
@@ -189,16 +202,23 @@ def resolve_profile(name_or_path: str) -> cm.CdlProfile:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON file. Unknown keys are rejected."""
+    """Read an ExperimentConfig from a JSON file. Unknown keys and values of
+    the wrong JSON type (the file, ``train``, or a list field) are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("a config file must hold a JSON object")
     train_raw = raw.pop("train", {})
+    if not isinstance(train_raw, dict):
+        raise ValueError("train must be a JSON object")
     unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     unknown |= {f"train.{k}" for k in set(train_raw) - set(TrainSettings.__dataclass_fields__)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key in ("profiles", "kappas", "rhos"):
         if key in raw:
+            if not isinstance(raw[key], list):
+                raise ValueError(f"{key} must be a JSON array")
             raw[key] = tuple(raw[key])
     return ExperimentConfig(train=TrainSettings(**train_raw), **raw)
 

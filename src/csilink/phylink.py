@@ -20,8 +20,11 @@ SNR of a realization. The block keeps the ``LinkConfig`` it was framed with;
 
 The per-subcarrier products of the chain use stacked ``@``; they differ from
 the ``einsum`` form only in the last bit, which moves no detection decision.
-The pilot path keeps ``einsum``, since ``matmul`` there changes the estimates'
-last bits and with them the sweep's ``recon_mse``.
+The precoder takes its singular triplets from ``eigh`` of the short-side Gram
+rather than LAPACK's SVD, again differing only in the last bits. The pilot
+path keeps ``einsum``, since ``matmul`` there changes the estimates' last
+bits and with them the sweep's ``recon_mse``. The CRC is one float32 matrix
+product, exact for rows shorter than 2^24 bits.
 """
 
 from __future__ import annotations
@@ -113,13 +116,19 @@ def _as_poly_array(poly) -> np.ndarray:
     return p
 
 
+# float32 holds every integer below 2^24 exactly, so a CRC product over
+# shorter rows is exact.
+_CRC_MAX_BITS = 1 << 24
+
+
 @functools.lru_cache(maxsize=16)
 def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
     """The CRC of an n_bits message as a linear map over GF(2): row j is
     x^(n_bits-1-j+deg) mod poly, MSB first, so a message's remainder is the
     mod-2 sum of the rows its set bits select (Sarwate, CACM 1988). Built
     with a Python-int shift register in O(n_bits*deg) memory; cached and
-    read-only."""
+    read-only. Stored as float32: the products are exact while n_bits is
+    below ``_CRC_MAX_BITS``."""
     deg = len(poly) - 1
     g = int("".join(map(str, poly)), 2)
     term = 1 << deg  # x^deg, the remainder of the last message bit
@@ -130,7 +139,7 @@ def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
         rows.append(format(term, f"0{deg}b"))
         term <<= 1
     bits = np.frombuffer("".join(reversed(rows)).encode(), dtype=np.uint8) - ord("0")
-    m = bits.reshape(n_bits, deg).astype(np.float64)
+    m = bits.reshape(n_bits, deg).astype(np.float32)
     m.flags.writeable = False
     return m
 
@@ -138,16 +147,19 @@ def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
 def crc_remainder_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
     """CRC remainders of message rows (each row times x^degree, mod poly).
 
-    One matrix product over all rows with the cached map of _crc_matrix;
-    the sums are integers <= n_bits < 2^53, so float64 is exact in any
-    summation order.
+    One float32 matrix product over all rows with the cached map of
+    _crc_matrix. Every partial sum is an integer <= n_bits, and float32 is
+    exact below 2^24, so the product is exact in any summation order; rows
+    of 2^24 bits or more raise ValueError before any matrix is built.
     """
     p = _as_poly_array(poly)
     rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
     if rows.shape[1] == 0:
         raise ValueError("messages must be non-empty")
+    if rows.shape[1] >= _CRC_MAX_BITS:
+        raise ValueError(f"messages must be shorter than {_CRC_MAX_BITS} bits")
     m = _crc_matrix(rows.shape[1], tuple(int(c) for c in p))
-    return (rows @ m % 2).astype(np.uint8)
+    return (rows.astype(np.float32) @ m % 2).astype(np.uint8)
 
 
 def crc_check_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
@@ -289,22 +301,44 @@ def svd_precoder(h_recon: ChannelTensor, noise_var: float, budget: float) -> Pre
 
     F holds the leading right singular vectors scaled by the square roots of
     the waterfilled eigenmode powers, G the leading left singular vectors.
-    Each singular vector is rotated so its largest-magnitude entry is real and
-    positive, which pins down the SVD sign/phase ambiguity. One waterfill call
-    gives every subcarrier its own water level and the full ``budget``.
+    The singular triplets come from the Gram matrix on the short side of each
+    subcarrier matrix (``_svd_triplets``). Each singular vector is rotated so
+    its largest-magnitude entry is real and positive, which pins down the SVD
+    sign/phase ambiguity. One waterfill call gives every subcarrier its own
+    water level and the full ``budget``.
     """
-    h = h_recon.data
-    _, n_r, n_t = h.shape
-    n_s = min(n_r, n_t)
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    u = u[:, :, :n_s]
-    s = s[:, :n_s]
-    v = vh.conj().transpose(0, 2, 1)[:, :, :n_s]
+    u, s, v = _svd_triplets(h_recon.data)
     u = _canonical_columns(u)
     v = _canonical_columns(v)
     powers = waterfill(s, noise_var, budget)
     f = v * np.sqrt(powers)[:, None, :]
     return PrecodeSet(f=f, g=u, sigma=s, powers=powers)
+
+
+def _svd_triplets(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD triplets of a (batch, n_r, n_t) stack: left vectors
+    (batch, n_r, n_s), singular values (batch, n_s) in descending order and
+    right vectors (batch, n_t, n_s), n_s = min(n_r, n_t).
+
+    ``eigh`` of the n_s x n_s Gram A A^H, with A = H (or H^H for a tall H),
+    gives the short-side vectors and sigma^2; the long-side vectors are
+    A^H u / sigma. The descending sort is stable, so tied values keep
+    ``eigh``'s column order, and a zero mode gets a zero long-side vector
+    rather than NaN. Through the Gram a singular value carries an absolute
+    error of about eps * sigma_1^2 / sigma: about 1e-14 * sigma_1 at the
+    spread of the shipped profiles, but about 1e-8 * sigma_1, not 1e-16, for
+    the null modes of a rank-deficient matrix.
+    """
+    wide = h.shape[1] <= h.shape[2]
+    a = h if wide else h.conj().transpose(0, 2, 1)
+    a_h = a.conj().transpose(0, 2, 1)
+    lam, short = np.linalg.eigh(a @ a_h)
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    s = np.sqrt(np.maximum(np.take_along_axis(lam, order, axis=-1), 0.0))
+    short = np.take_along_axis(short, order[:, None, :], axis=-1)
+    # Dividing by inf leaves a zero mode's long-side vector zero, not NaN.
+    long = a_h @ short / np.where(s > 0, s, np.inf)[:, None, :]
+    return (short, s, long) if wide else (long, s, short)
 
 
 def _canonical_columns(m: np.ndarray) -> np.ndarray:
@@ -382,7 +416,10 @@ def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cf
     The precoder, combiner and equalizer are derived from ``h_recon``;
     propagation uses ``h_true``, and the link noise is ``tx.unit_noise``
     scaled to the SNR of ``cfg``. ``tx`` must come from ``transmit_block``
-    with a config equal to ``cfg`` in every field but the SNR.
+    with a config equal to ``cfg`` in every field but the SNR. The precoder's
+    Gram-based triplets and the matmul chain differ from LAPACK's SVD and
+    ``einsum`` in the last bits only, and the tests require the same error
+    counts as that textbook chain.
     """
     if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
         raise ValueError("channel tensor dimensions do not match the link config")

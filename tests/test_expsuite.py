@@ -124,6 +124,12 @@ class TestConfig:
             pytest.param(dict(b_max=float("nan")), "b_max", id="nan_bler_ceiling"),
             pytest.param(dict(b_max=2.0), "b_max", id="bler_ceiling_above_one"),
             pytest.param(dict(master_seed=2**64 + 555), "64-bit", id="seed_above_64_bits"),
+            pytest.param(dict(payload_bits=2e5), "payload_bits must be an integer", id="float_payload_bits"),
+            pytest.param(dict(n_users=2.0), "n_users must be an integer", id="float_users"),
+            pytest.param(dict(n_users=True), "n_users must be an integer", id="bool_users"),
+            pytest.param(dict(n_blocks=2.0), "n_blocks must be an integer", id="float_blocks"),
+            pytest.param(dict(n_pilot=64.0), "n_pilot must be an integer", id="float_pilots"),
+            pytest.param(dict(train=dict(epochs=2.0)), "epochs must be an integer", id="float_epochs"),
         ],
     )
     def test_validation(self, overrides, message, tmp_path):
@@ -138,6 +144,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             train = ex.TrainSettings(**raw.pop("train"))
             ex.ExperimentConfig(train=train, **raw)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("[]", "JSON object", id="top_level_array"),
+            pytest.param('{"train": null}', "train must be a JSON object", id="null_train"),
+            pytest.param('{"profiles": "cdl_c"}', "profiles must be a JSON array", id="profiles_string"),
+            pytest.param('{"kappas": 0.5}', "kappas must be a JSON array", id="kappas_number"),
+            pytest.param('{"rhos": 10}', "rhos must be a JSON array", id="rhos_number"),
+        ],
+    )
+    def test_wrong_json_types_rejected(self, text, message, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            ex.load_config(path)
 
     def test_adaptive_profile_either_spelling(self, two_profile_sweep, tmp_path, monkeypatch):
         """A profile's file name ('cdl_c') and display name ('CDL-C') name the

@@ -132,6 +132,17 @@ class TestCrcProperties:
             with pytest.raises(ValueError, match="constant term"):
                 pl.crc_remainder_many(rows, poly)
 
+    def test_rows_too_long_for_float32_rejected(self, monkeypatch):
+        """The float32 product is exact only below 2^24, so a longer row is
+        refused before its map (over 400 MB, built in a Python loop) is made."""
+
+        def unreachable(*args):
+            raise AssertionError("_crc_matrix was called for an over-long row")
+
+        monkeypatch.setattr(pl, "_crc_matrix", unreachable)
+        with pytest.raises(ValueError, match="shorter than"):
+            pl.crc_remainder_many(np.zeros((1, 1 << 24), dtype=np.uint8), POLY)
+
     @pytest.mark.parametrize(
         "poly, message",
         [((1, 0), "constant term"), ((1, 2, 1), "0 or 1"), ((0, 1), "leading 1"), ((1,), "degree")],
@@ -364,6 +375,68 @@ class TestSvdPrecoder:
             lead = a.g[0][np.argmax(np.abs(a.g[0][:, col])), col]
             assert abs(lead.imag) < 1e-12 and lead.real > 0
 
+    @staticmethod
+    def desk_estimate(profile_name):
+        profile = cm.load_cdl_profile(cm.shipped_profile_path(profile_name))
+        h = cm.synthesize_csi(profile, cm.UraGeometry(4, 4), 4, 128, 15e3, 5)
+        x = pl.generate_pilots(64, 16, 6)
+        noise_var = pl.noise_var_from_snr(pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=10.0))
+        return pl.ls_estimate(x, pl.observe_pilots(h, x, noise_var, 7))
+
+    @pytest.mark.parametrize(
+        "source",
+        [(4, 16), (4, 4), (8, 4), "cdl_c", "cdl_e"],
+        ids=["wide", "square", "tall", "desk_cdl_c", "desk_cdl_e"],
+    )
+    def test_triplets_match_lapack(self, source):
+        """The Gram path's singular values and canonical vectors against
+        np.linalg.svd, on random channels of each shape and on desk-dims LS
+        estimates."""
+        if isinstance(source, str):
+            h = self.desk_estimate(source)
+        else:
+            h = random_channel(np.random.default_rng(31), 64, *source)
+        pset = pl.svd_precoder(h, noise_var=0.01, budget=1.0)
+        u, s, vh = np.linalg.svd(h.data, full_matrices=False)
+        v = vh.conj().transpose(0, 2, 1)
+        # Every draw here has distinct singular values, so each vector is
+        # unique up to the phase that _canonical_columns fixes.
+        gaps = np.where(np.eye(s.shape[1], dtype=bool), np.inf, np.abs(s[:, :, None] - s[:, None, :]))
+        assert np.all(gaps.min(axis=2) > 1e-3 * s[:, :1])
+        assert np.all(np.abs(pset.sigma - s) < 1e-12 * s[:, :1])
+        assert np.abs(pset.g - pl._canonical_columns(u)).max() < 1e-10
+        v_gram = pset.f / np.sqrt(np.where(pset.powers > 0, pset.powers, 1.0))[:, None, :]
+        powered = np.broadcast_to(pset.powers[:, None, :] > 0, v.shape)
+        assert powered.any()
+        assert np.abs(v_gram - pl._canonical_columns(v))[powered].max() < 1e-10
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 16), (8, 4)], ids=["wide", "tall"])
+    def test_rank_one_channel(self, n_r, n_t):
+        """Null modes come out of the Gram at about 1e-8 * sigma_1 rather than
+        LAPACK's 1e-16; everything stays finite and they get no power."""
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(8, n_r, 1)) + 1j * rng.normal(size=(8, n_r, 1))
+        b = rng.normal(size=(8, 1, n_t)) + 1j * rng.normal(size=(8, 1, n_t))
+        pset = pl.svd_precoder(cm.ChannelTensor(a @ b), noise_var=0.01, budget=1.0)
+        for arr in (pset.f, pset.g, pset.sigma, pset.powers):
+            assert np.all(np.isfinite(arr))
+        top = np.linalg.svd(a @ b, compute_uv=False)[:, 0]
+        assert np.allclose(pset.sigma[:, 0], top, rtol=1e-12)
+        assert np.all(pset.sigma[:, 1:] < 1e-6 * top[:, None])
+        assert np.all(pset.powers[:, 1:] == 0.0)
+        assert np.allclose(pset.powers[:, 0], 1.0)
+
+    @pytest.mark.parametrize("n_r, n_t", [(4, 4), (4, 8), (8, 4)])
+    def test_tied_values_keep_lapack_order(self, n_r, n_t):
+        """2*I has one fourfold singular value: the stable sort keeps eigh's
+        column order, which is LAPACK's; reversing it would swap the streams."""
+        h = 2.0 * np.eye(n_r, n_t, dtype=complex)[None]
+        pset = pl.svd_precoder(cm.ChannelTensor(h), noise_var=0.1, budget=1.0)
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        assert np.array_equal(pset.sigma, s)
+        assert np.array_equal(pset.g, u)
+        assert np.allclose(pset.f, vh.conj().transpose(0, 2, 1) * np.sqrt(pset.powers)[:, None, :], atol=1e-15)
+
 
 class TestMmse:
     def test_identity_zero_noise(self):
@@ -560,9 +633,21 @@ class TestLinkClosedForm:
         assert np.all(np.abs(z) < self.Z_BOUND), (measured, theory, z)
 
 
+def lapack_precoder(h_recon, noise_var, budget):
+    """Combiner g and precoder f of svd_precoder, with the singular triplets
+    from np.linalg.svd rather than the precoder's Gram path."""
+    n_s = min(h_recon.data.shape[1:])
+    u, s, vh = np.linalg.svd(h_recon.data, full_matrices=False)
+    u = pl._canonical_columns(u[:, :, :n_s])
+    v = pl._canonical_columns(vh.conj().transpose(0, 2, 1)[:, :, :n_s])
+    powers = pl.waterfill(s[:, :n_s], noise_var, budget)
+    return u, v * np.sqrt(powers)[:, None, :]
+
+
 def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
     """The link chain of run_link_once written with the textbook einsum
-    products (and the einsum MMSE Gram), every other step shared."""
+    products (and the einsum MMSE Gram) and a LAPACK SVD precoder, every
+    other step shared."""
     noise_var = pl.noise_var_from_snr(cfg)
     rng = np.random.default_rng(seed)
     tx_cw = pl.frame_codewords(payload, cfg)
@@ -572,12 +657,12 @@ def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
     symbols = pl.qam16_modulate(coded.reshape(-1)).reshape(n_periods, cfg.n_streams, cfg.n_sc)
     s_grid = symbols.transpose(2, 1, 0)
 
-    pset = pl.svd_precoder(h_recon, noise_var, cfg.subcarrier_power)
-    g_h = pset.g.conj().transpose(0, 2, 1)
-    h_eff = np.einsum("ksr,krt,ktm->ksm", g_h, h_recon.data, pset.f)
+    g, f = lapack_precoder(h_recon, noise_var, cfg.subcarrier_power)
+    g_h = g.conj().transpose(0, 2, 1)
+    h_eff = np.einsum("ksr,krt,ktm->ksm", g_h, h_recon.data, f)
     gram = np.einsum("kij,kil->kjl", h_eff.conj(), h_eff) + noise_var * np.eye(h_eff.shape[-1])
     w = np.linalg.solve(gram, h_eff.conj().transpose(0, 2, 1))
-    chain_true = np.einsum("ksr,krt,ktm->ksm", g_h, h_true.data, pset.f)
+    chain_true = np.einsum("ksr,krt,ktm->ksm", g_h, h_true.data, f)
     a = np.einsum("ksm,kmn->ksn", w, chain_true)
     b = np.einsum("ksm,kmr->ksr", w, g_h)
     shape = (cfg.n_sc, cfg.n_r, n_periods)
@@ -597,10 +682,11 @@ def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
 
 
 class TestLinkMatchesEinsumChain:
-    """run_link_once forms its per-subcarrier products with stacked matmul.
-    Those differ from the einsum form only in the last bit of each entry, and
-    an ulp-level shift moves no detection decision except on a draw that lands
-    within an ulp of a decision boundary, so the error counts must be equal."""
+    """run_link_once forms its per-subcarrier products with stacked matmul
+    and its singular triplets from the short-side Gram. Those differ from the
+    einsum form and LAPACK's SVD only in the last bits of each entry, and such
+    a shift moves no detection decision except on a draw that lands within it
+    of a decision boundary, so the error counts must be equal."""
 
     @pytest.mark.parametrize("n_r", [2, 4], ids=["tiny", "square"])
     @pytest.mark.parametrize("profile_name", ["cdl_e", "cdl_c"])
