@@ -8,14 +8,18 @@ normalization and vectorization. Training is plain mini-batch Adam on a
 complex-aware mean squared error, implemented from scratch so the whole
 pipeline stays dependency-light and bit-reproducible.
 
-Training gives the bits of the textbook computation (one fresh array per
-step, full-batch products). Most of its time goes to the output layer's
-elementwise steps on (batch, m) arrays, so that layer runs in row blocks of
-about 1 MB per array, whose steps stay in cache. Only its forward product
-a4 @ w is blocked; it reduces over the hidden width of 10, which a
-row block leaves unchanged. The loss, the bias gradient and every product
-that sums over the batch or the input width run on the full batch. Adam and
-the normalization run in place, in the textbook operation order.
+Training gives the bits of the textbook computation (a fresh array per
+step, full-batch products). A training set is split and normalized once
+(split_dataset) into one read-only array, from which every model trained
+on it gathers its batches and reads its validation rows. Most of the
+training time goes to the output layer's elementwise steps on (batch, m)
+arrays, so that layer runs in row blocks of about 1 MB per array, whose
+steps stay in cache. Only its forward product a4 @ w is blocked; it reduces
+over the hidden width of 10, which a row block leaves unchanged. The loss,
+the bias gradient and every product that sums over the batch or the input
+width run on the full batch, and each (batch, m) temporary is freed once its
+last reader is done. Adam and the normalization run in place, in the
+textbook operation order.
 
 Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
@@ -24,6 +28,7 @@ Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
 from __future__ import annotations
 
+import copy
 import io
 import math
 import struct
@@ -146,10 +151,11 @@ class NormStats:
             raise ValueError("degenerate normalization stats (max must exceed min)")
 
 
-def normalize(v, stats: NormStats) -> np.ndarray:
-    """Affine map of [lo, hi] onto [0, 1], clipping out-of-range inputs."""
+def normalize(v, stats: NormStats, out=None) -> np.ndarray:
+    """Affine map of [lo, hi] onto [0, 1], clipping out-of-range inputs.
+    ``out`` may be ``v`` itself."""
     v = np.asarray(v, dtype=float)
-    out = np.subtract(v, stats.lo, out=np.empty_like(v))
+    out = np.subtract(v, stats.lo, out=np.empty_like(v) if out is None else out)
     out /= stats.hi - stats.lo
     return np.clip(out, 0.0, 1.0, out=out)
 
@@ -348,10 +354,12 @@ def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
     # width run on the full batch: blocking them would reorder their sums.
     sq, d5 = _output_layer(model, a4, x, 2.0 / (n_complex * bsz))
     loss = float(np.sum(sq) / (n_complex * bsz))
+    del sq
 
     gw5 = a4.T @ d5
     gb5 = d5.sum(axis=0)
     d4 = (d5 @ w[4].T) * (z4 > 0)
+    del d5
     # The gradients of the two weights with a wide input, (input, 10), are
     # taken as the transpose of the (10, input) product: the same sums in a
     # faster BLAS layout, copied back to row-major for the Adam step.
@@ -376,54 +384,76 @@ def _batch_loss(model: AutoencoderModel, x) -> float:
     return float(np.sum(sq) / ((model.input_dim // 2) * x.shape[0]))
 
 
-def train(
-    model: AutoencoderModel,
-    dataset,
-    epochs: int = 64,
-    batch_size: int = 128,
-    learning_rate: float = 1e-4,
-    seed=0,
-    val_fraction: float = 0.2,
-) -> tuple[AutoencoderModel, TrainHistory]:
-    """Shuffled mini-batch Adam over raw realified CSI vectors.
+@dataclass(frozen=True)
+class TrainSplit:
+    """A training set split and normalized once (split_dataset), read by
+    every model trained on it. Both splits are read-only views of one array."""
 
-    Normalization statistics are computed from the training split and stored
-    on the model; per-epoch losses are recorded in normalized space.
-    Deterministic given the seed (wall-clock duration aside).
+    train: np.ndarray  # the training rows, normalized
+    val: np.ndarray | None  # the validation rows, normalized, or None
+    stats: NormStats  # taken from the training rows alone
+    rng: np.random.Generator  # the split's generator, past its permutation
+
+
+def split_dataset(dataset, seed=0, val_fraction: float = 0.2) -> TrainSplit:
+    """Shuffle-split raw realified CSI vectors and normalize them once.
+
+    The permutation is the first draw of the generator seeded with ``seed``:
+    its first round(val_fraction * n) rows validate and the rest train. The
+    rows are gathered into one array in that order and normalized there, so
+    the caller's array is never written to.
     """
     data = np.asarray(dataset, dtype=float)
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty (n_samples, input_dim) array")
-    if data.shape[1] != model.input_dim:
-        raise ValueError("dataset vectors do not match the model input width")
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(data.shape[0])
     n_val = int(round(val_fraction * data.shape[0]))
-    val_raw, train_raw = data[order[:n_val]], data[order[n_val:]]
-    if train_raw.shape[0] == 0:
+    if n_val >= data.shape[0]:
         raise ValueError("validation split leaves no training samples")
 
-    stats = NormStats(float(train_raw.min()), float(train_raw.max()))
-    model.norm_min, model.norm_max = stats.lo, stats.hi
-    x_train = normalize(train_raw, stats)
-    x_val = normalize(val_raw, stats) if n_val else None
-    del train_raw, val_raw  # the epoch loop reads only the normalized split
+    x = data[order]
+    stats = NormStats(float(x[n_val:].min()), float(x[n_val:].max()))
+    normalize(x, stats, out=x)
+    x.flags.writeable = False
+    return TrainSplit(train=x[n_val:], val=x[:n_val] if n_val else None, stats=stats, rng=rng)
 
+
+def train(
+    model: AutoencoderModel,
+    split: TrainSplit,
+    epochs: int = 64,
+    batch_size: int = 128,
+    learning_rate: float = 1e-4,
+) -> tuple[AutoencoderModel, TrainHistory]:
+    """Shuffled mini-batch Adam on a split's training rows.
+
+    The split's normalization statistics are stored on the model; per-epoch
+    losses are recorded in normalized space. Each epoch's shuffle is drawn
+    from a copy of the split's generator, so every model trained on one split
+    sees the same batches. Deterministic given the split (wall-clock duration
+    aside).
+    """
+    if split.train.shape[1] != model.input_dim:
+        raise ValueError("dataset vectors do not match the model input width")
+    model.norm_min, model.norm_max = split.stats.lo, split.stats.hi
+
+    rng = copy.deepcopy(split.rng)
+    n_train = split.train.shape[0]
     params = model.params()
     state = AdamState.for_params(params)
     train_curve, val_curve = [], []
     start = time.perf_counter()
     for _ in range(epochs):
-        perm = rng.permutation(x_train.shape[0])
+        perm = rng.permutation(n_train)
         losses = []
-        for lo in range(0, x_train.shape[0], batch_size):
-            chunk = x_train[perm[lo : lo + batch_size]]
-            loss, grads = backprop(model, chunk)
+        for lo in range(0, n_train, batch_size):
+            loss, grads = backprop(model, split.train[perm[lo : lo + batch_size]])
             adam_step(params, grads, state, learning_rate)
             losses.append(loss)
         train_curve.append(float(np.mean(losses)))
-        val_curve.append(_batch_loss(model, x_val) if x_val is not None else float("nan"))
+        val_curve.append(_batch_loss(model, split.val) if split.val is not None else float("nan"))
     return model, TrainHistory(train_loss=train_curve, val_loss=val_curve, duration_s=time.perf_counter() - start)
 
 

@@ -72,14 +72,31 @@ def stream_seed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(p) & MASK64 for p in parts])
 
 
-def _check_integer_fields(settings) -> None:
-    """Reject a non-integer in any field declared ``int``. JSON spells 2e5
-    and 2.0 as floats, which numpy would only refuse deep in a sweep, and a
-    bool would pass as 0 or 1."""
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# What each declared field type accepts. JSON spells 2e5 and 2.0 as floats,
+# a quoted "false" is a truthy string, and true passes as 1 in arithmetic:
+# unchecked, each would mislead a run or fail deep in a sweep.
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a real number", _is_real),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[str, ...]": ("a tuple of strings", lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v)),
+    "tuple[float, ...]": ("a tuple of real numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v))),
+    "TrainSettings": ("a train block", lambda v: isinstance(v, TrainSettings)),
+}
+
+
+def _check_field_types(settings) -> None:
+    """Reject a value of the wrong type in any field, naming the field."""
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        kind, accepts = _FIELD_TYPES[f.type]
+        if not accepts(value):
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +108,12 @@ class TrainSettings:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        _check_integer_fields(self)
+        _check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1 or self.dataset_size < 1:
             raise ValueError("epochs, batch_size and dataset_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        # The same split rule codec.train applies.
+        # The same split rule codec.split_dataset applies.
         n_val = int(round(self.val_fraction * self.dataset_size))
         if self.val_fraction < 0 or n_val >= self.dataset_size:
             raise ValueError("val_fraction must be >= 0 and leave at least one training sample")
@@ -128,7 +145,7 @@ class ExperimentConfig:
         built or loaded rather than after codec training. Where a library
         object owns a rule (the array geometry, the link dimensions and SNR,
         the profile files), the check builds that object."""
-        _check_integer_fields(self)
+        _check_field_types(self)
         if not self.profiles:
             raise ValueError("need at least one channel profile")
         if not self.rhos:
@@ -260,15 +277,25 @@ def build_training_set(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_id
 
 
 def train_codec_family(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> dict[float, CodecBundle]:
-    """One trained model per compression ratio, on a shared training set."""
-    data = build_training_set(cfg, profile, profile_idx)
-    return {kappa: _train_codec(cfg, data, profile_idx, kappa) for kappa in cfg.kappas}
+    """One trained model per compression ratio, all on one training split."""
+    split = _training_split(cfg, profile, profile_idx)
+    return {kappa: _train_codec(cfg, split, profile_idx, kappa) for kappa in cfg.kappas}
 
 
-def _train_codec(cfg: ExperimentConfig, data: np.ndarray, profile_idx: int, kappa: float) -> CodecBundle:
-    """The model for ``kappa`` on a profile's training set. The ratios share
-    init and shuffle seeds (paired training), so their models differ only in
-    latent width, free of initialization luck."""
+def _training_split(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> codec.TrainSplit:
+    """A profile's training set, split and normalized. The raw set is dropped
+    here, so only its normalized copy lives through training."""
+    return codec.split_dataset(
+        build_training_set(cfg, profile, profile_idx),
+        seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
+        val_fraction=cfg.train.val_fraction,
+    )
+
+
+def _train_codec(cfg: ExperimentConfig, split: codec.TrainSplit, profile_idx: int, kappa: float) -> CodecBundle:
+    """The model for ``kappa`` on a profile's training split. The ratios share
+    the init seed and the split's shuffles (paired training), so their models
+    differ only in latent width, free of initialization luck."""
     model = codec.ae_init(
         kappa,
         cfg.dims,
@@ -277,12 +304,10 @@ def _train_codec(cfg: ExperimentConfig, data: np.ndarray, profile_idx: int, kapp
     )
     model, history = codec.train(
         model,
-        data,
+        split,
         epochs=cfg.train.epochs,
         batch_size=cfg.train.batch_size,
         learning_rate=cfg.train.learning_rate,
-        seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
-        val_fraction=cfg.train.val_fraction,
     )
     return CodecBundle(model=model, history=history)
 
@@ -541,7 +566,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     if sweep is not None and (profile.name, kappa) in sweep.models:
         model = sweep.models[(profile.name, kappa)]
     else:
-        model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
+        model = _train_codec(cfg, _training_split(cfg, profile, 0), 0, kappa).model
 
     h_est = _user_estimates(cfg, profile, 0, user, rho_db)[1][0]
     latent = codec.compress(model, h_est)

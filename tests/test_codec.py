@@ -454,8 +454,8 @@ class TestTrain:
     def test_loss_descends(self):
         data = channel_rows("cdl_e", self.dims, 64)
         model = codec.ae_init(0.5, self.dims, 20)
-        model, hist = codec.train(model, data, epochs=16, batch_size=16,
-                                  learning_rate=1e-3, seed=21)
+        split = codec.split_dataset(data, seed=21)
+        model, hist = codec.train(model, split, epochs=16, batch_size=16, learning_rate=1e-3)
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert len(hist.train_loss) == len(hist.val_loss) == 16
 
@@ -463,8 +463,8 @@ class TestTrain:
         base = channel_rows("cdl_e", self.dims, 1)
         data = np.repeat(base, 16, axis=0)
         model = codec.ae_init(0.5, self.dims, 22)
-        model, hist = codec.train(model, data, epochs=64, batch_size=128,
-                                  learning_rate=0.05, seed=23, val_fraction=0.0)
+        split = codec.split_dataset(data, seed=23, val_fraction=0.0)
+        model, hist = codec.train(model, split, epochs=64, batch_size=128, learning_rate=0.05)
         assert hist.train_loss[-1] < 1e-3
         assert hist.train_loss[-1] < 0.01 * hist.train_loss[0]
 
@@ -473,8 +473,8 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = codec.ae_init(0.5, self.dims, 24)
-            _, hist = codec.train(model, data, epochs=4, batch_size=16,
-                                  learning_rate=1e-3, seed=25)
+            split = codec.split_dataset(data, seed=25)
+            _, hist = codec.train(model, split, epochs=4, batch_size=16, learning_rate=1e-3)
             runs.append(hist)
         assert runs[0].train_loss == runs[1].train_loss
         assert runs[0].val_loss == runs[1].val_loss
@@ -482,7 +482,27 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            codec.train(model, np.zeros((0, model.input_dim)))
+            codec.split_dataset(np.zeros((0, model.input_dim)))
+
+    def test_stats_come_from_the_training_rows(self):
+        data = np.arange(40.0).reshape(10, 4)
+        split = codec.split_dataset(data, seed=3, val_fraction=0.3)
+        order = np.random.default_rng(3).permutation(10)
+        train_raw = data[order[3:]]
+        # The validation rows hold an extreme of the whole set.
+        assert data.min() < train_raw.min() or data.max() > train_raw.max()
+        assert (split.stats.lo, split.stats.hi) == (train_raw.min(), train_raw.max())
+        assert np.array_equal(split.val, np.clip((data[order[:3]] - train_raw.min()) / np.ptp(train_raw), 0.0, 1.0))
+
+    def test_split_leaving_no_training_rows_rejected(self):
+        with pytest.raises(ValueError, match="no training samples"):
+            codec.split_dataset(np.ones((4, 8)), val_fraction=0.9)
+
+    def test_width_mismatch_rejected(self):
+        model = tiny_model()
+        split = codec.split_dataset(np.arange(2.0 * (model.input_dim + 1)).reshape(2, -1), val_fraction=0.0)
+        with pytest.raises(ValueError, match="input width"):
+            codec.train(model, split, epochs=1)
 
 
 class TestQuantize:
@@ -514,8 +534,8 @@ class TestCompressDecompress:
     def fitted_model(self, kappa=0.5, seed=30):
         model = codec.ae_init(kappa, self.dims, seed)
         data = channel_rows("cdl_e", self.dims, 32)[:, : model.input_dim]
-        model, _ = codec.train(model, data, epochs=4, batch_size=16,
-                               learning_rate=1e-3, seed=seed + 1)
+        split = codec.split_dataset(data, seed=seed + 1)
+        model, _ = codec.train(model, split, epochs=4, batch_size=16, learning_rate=1e-3)
         return model
 
     def test_latent_length_matches_formula(self):

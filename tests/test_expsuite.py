@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -130,6 +131,15 @@ class TestConfig:
             pytest.param(dict(n_blocks=2.0), "n_blocks must be an integer", id="float_blocks"),
             pytest.param(dict(n_pilot=64.0), "n_pilot must be an integer", id="float_pilots"),
             pytest.param(dict(train=dict(epochs=2.0)), "epochs must be an integer", id="float_epochs"),
+            pytest.param(dict(orthogonal_pilots="false"), "orthogonal_pilots must be true or false", id="string_bool"),
+            pytest.param(dict(rhos=(True, 10.0)), "rhos must be a tuple of real numbers", id="bool_snr"),
+            pytest.param(dict(delta_f=True), "delta_f must be a real number", id="bool_spacing"),
+            pytest.param(dict(b_max="0.1"), "b_max must be a real number", id="string_bler_ceiling"),
+            pytest.param(dict(kappas=(0.5, "0.7")), "kappas must be a tuple of real numbers", id="string_kappa"),
+            pytest.param(dict(train=dict(learning_rate="1e-3")), "learning_rate must be a real number", id="string_learning_rate"),
+            pytest.param(dict(train=dict(val_fraction="0.2")), "val_fraction must be a real number", id="string_val_fraction"),
+            pytest.param(dict(profiles=(7,)), "profiles must be a tuple of strings", id="numeric_profile"),
+            pytest.param(dict(adaptive_profile=5), "adaptive_profile must be a string or null", id="numeric_adaptive_profile"),
         ],
     )
     def test_validation(self, overrides, message, tmp_path):
@@ -257,6 +267,89 @@ class TestRunSweep:
         assert ("CDL-E", 0.5) in result.models
         hist = result.histories[("CDL-E", 0.5)]
         assert hist.epochs == cfg.train.epochs
+
+
+def reference_family(cfg, data, profile_idx):
+    """The per-ratio training of the plain form: each ratio draws the
+    permutation again, gathers and normalizes its own split, then trains on
+    the gathered training rows."""
+    out = {}
+    for kappa in cfg.kappas:
+        model = codec.ae_init(
+            kappa, cfg.dims, ex.stream_seed(cfg.master_seed, ex._INIT, profile_idx), kappa_index=cfg.kappas.index(kappa)
+        )
+        rng = np.random.default_rng(ex.stream_seed(cfg.master_seed, ex._INIT, profile_idx, 1))
+        order = rng.permutation(data.shape[0])
+        n_val = int(round(cfg.train.val_fraction * data.shape[0]))
+        val_raw, train_raw = data[order[:n_val]], data[order[n_val:]]
+        stats = codec.NormStats(float(train_raw.min()), float(train_raw.max()))
+        model.norm_min, model.norm_max = stats.lo, stats.hi
+        x_train = codec.normalize(train_raw, stats)
+        x_val = codec.normalize(val_raw, stats) if n_val else None
+        params = model.params()
+        state = codec.AdamState.for_params(params)
+        train_curve, val_curve = [], []
+        for _ in range(cfg.train.epochs):
+            perm = rng.permutation(x_train.shape[0])
+            losses = []
+            for lo in range(0, x_train.shape[0], cfg.train.batch_size):
+                loss, grads = codec.backprop(model, x_train[perm[lo : lo + cfg.train.batch_size]])
+                codec.adam_step(params, grads, state, cfg.train.learning_rate)
+                losses.append(loss)
+            train_curve.append(float(np.mean(losses)))
+            val_curve.append(codec._batch_loss(model, x_val) if x_val is not None else float("nan"))
+        out[kappa] = (model, train_curve, val_curve)
+    return out
+
+
+class TestTrainCodecFamily:
+    @pytest.mark.parametrize("val_fraction", [0.2, 0.0])
+    def test_shared_split_matches_per_ratio_training(self, val_fraction, monkeypatch):
+        """Every ratio trained on one shared split gets the bits of a split
+        drawn and normalized for it alone, and the raw set is left as built."""
+        train = ex.TrainSettings(epochs=4, batch_size=16, learning_rate=1e-3, dataset_size=32, val_fraction=val_fraction)
+        cfg = tiny_config(kappas=(0.5, 0.7), train=train)
+        built = []
+        build = ex.build_training_set
+
+        def keeping(*args):
+            data = build(*args)
+            built.append((data, data.copy()))
+            return data
+
+        monkeypatch.setattr(ex, "build_training_set", keeping)
+        family = ex.train_codec_family(cfg, ex.resolve_profile("cdl_e"), 0)
+        ((data, before),) = built
+        assert np.array_equal(data, before)
+
+        for kappa, (model, train_curve, val_curve) in reference_family(cfg, before, 0).items():
+            bundle = family[kappa]
+            assert (bundle.model.norm_min, bundle.model.norm_max) == (model.norm_min, model.norm_max)
+            for got, want in zip(bundle.model.params(), model.params()):
+                assert np.array_equal(got, want)
+            assert bundle.history.train_loss == train_curve
+            np.testing.assert_array_equal(bundle.history.val_loss, val_curve)
+
+    def test_peak_memory_bound(self):
+        """The traced peak of a family's training, in units of its raw
+        training set. Building the set holds 1 unit, and splitting it 2 (the
+        raw set and its gathered, normalized copy). Training holds that copy
+        and one batch's temporaries, about 2.9 at the widest latent. Splitting
+        and normalizing again per ratio, with the raw set alive, read 4.0; the
+        bound sits between the two. It counts allocations, not time, so it
+        reads the same in every run."""
+        train = ex.TrainSettings(epochs=1, batch_size=64, dataset_size=256)
+        cfg = ex.ExperimentConfig(profiles=("cdl_c",), n_sc=32, kappas=(0.1, 0.5, 0.7), static_kappa=0.5, train=train)
+        profile = ex.resolve_profile("cdl_c")
+        ex.train_codec_family(cfg, profile, 0)  # warm-up: one-time library allocations
+        tracemalloc.start()
+        try:
+            ex.train_codec_family(cfg, profile, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        set_bytes = train.dataset_size * 2 * cfg.n_sc * cfg.n_r * cfg.n_t * 8
+        assert peak / set_bytes < 3.5
 
 
 class TestRealizations:
@@ -449,16 +542,10 @@ class TestHeatmap:
     def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
         cfg = tiny_config(kappas=(0.5, 0.7))
         swept = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "swept", sweep=ex.run_sweep(cfg))
-        trainings = []
-        train = codec.train
-
-        def counting(*args, **kwargs):
-            trainings.append(args)
-            return train(*args, **kwargs)
-
-        monkeypatch.setattr(codec, "train", counting)
+        trainings = record_calls(monkeypatch, codec, "train")
         alone = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "alone")
         assert len(trainings) == 1
+        assert isinstance(trainings[0][1], codec.TrainSplit)
         for label in ("original", "latent", "reconstructed"):
             assert Path(alone[label]).read_bytes() == Path(swept[label]).read_bytes()
 
