@@ -11,7 +11,10 @@ A realization is the sum over clusters of gain x delay phasor x rx steering
 x conjugate tx steering. The seed-free factors are cached per link geometry,
 and the (cluster, subcarrier, rx) product is formed once per realization
 rather than once per tx antenna. It is multiplied with unfused real
-arithmetic, so the channel equals the four-operand einsum bit for bit.
+arithmetic, so the channel equals the four-operand einsum bit for bit. The
+sum over clusters is contracted into (tx, subcarrier, rx) order, the faster
+loop order, and copied into (subcarrier, rx, tx) order; each entry is still
+the in-order sum of the same products.
 """
 
 from __future__ import annotations
@@ -239,7 +242,8 @@ def _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, n_blocks) -> list[Channe
         # The (cluster, subcarrier, rx) factor once, not once per tx antenna;
         # its products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
         factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
-        blocks.append(ChannelTensor(np.einsum("ckr,ct->krt", factor, a_tx_conj)))
+        h = np.einsum("ct,ckr->tkr", a_tx_conj, factor)
+        blocks.append(ChannelTensor(np.ascontiguousarray(h.transpose(1, 2, 0))))
     return blocks
 
 

@@ -9,17 +9,21 @@ complex-aware mean squared error, implemented from scratch so the whole
 pipeline stays dependency-light and bit-reproducible.
 
 Training gives the bits of the textbook computation (a fresh array per
-step, full-batch products). A training set is split and normalized once
-(split_dataset) into one read-only array, from which every model trained
-on it gathers its batches and reads its validation rows. Most of the
-training time goes to the output layer's elementwise steps on (batch, m)
-arrays, so that layer runs in row blocks of about 1 MB per array, whose
-steps stay in cache. Only its forward product a4 @ w is blocked; it reduces
-over the hidden width of 10, which a row block leaves unchanged. The loss,
-the bias gradient and every product that sums over the batch or the input
-width run on the full batch, and each (batch, m) temporary is freed once its
-last reader is done. Adam and the normalization run in place, in the
-textbook operation order.
+step, full-batch products). A training set is written sample by sample
+into its split order and normalized once (split_dataset), into one
+read-only array from which every model trained on it gathers its batches
+and reads its validation rows. Most of the training time goes to the
+output layer's elementwise steps on (batch, m) arrays, so that layer runs
+in row blocks of about 512 KB per array, whose steps stay in cache. Only
+its forward product a4 @ w is blocked; it reduces over the hidden width of
+10, which a row block leaves unchanged. The loss, the bias gradient and
+every product that sums over the batch or the input width run on the full
+batch. A step holds two full-batch arrays: its own copy of the batch, over
+which the squared errors are written block by block, and the output
+deltas. The latent z3 (0.9 of the input width at a ratio of 0.1) is
+overwritten after its first reader and recomputed by the same product for
+its weight gradient, and the batch is gathered again for the first layer's.
+Adam and the normalization run in place, in the textbook operation order.
 
 Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
@@ -45,9 +49,10 @@ MODEL_MAGIC = b"CSIM"
 SUPPORTED_LATENT_BITS = (32,)
 
 _HIDDEN = 10
-# Bytes per array of one output-layer row block (8 rows at the desk width),
-# so that a block's arrays stay in a core's L2 cache between its steps.
-_BLOCK_BYTES = 1 << 20
+# Bytes per array of one output-layer row block (4 rows at the desk width),
+# so that a block's four arrays (output, targets, deltas and the sigmoid's
+# numerator) stay in a core's L2 cache between its steps.
+_BLOCK_BYTES = 1 << 19
 
 
 class WireFormatError(ValueError):
@@ -107,9 +112,14 @@ class LatentCsi:
 
 
 def realify(x) -> np.ndarray:
-    """[Re(x); Im(x)] stacking, doubling the length."""
+    """[Re(x); Im(x)] stacking, doubling the length. Each half is written
+    straight into the result, with no intermediate copy."""
     x = np.asarray(x)
-    return np.concatenate([np.real(x), np.imag(x)]).astype(float)
+    n = len(x)
+    out = np.empty((2 * n,) + x.shape[1:])
+    out[:n] = x.real
+    out[n:] = x.imag
+    return out
 
 
 def complexify(v) -> np.ndarray:
@@ -291,17 +301,18 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     return state
 
 
-def _output_layer(model: AutoencoderModel, a4, x, delta_scale=None):
-    """Squared errors of the sigmoid output layer against the targets ``x``
-    and, given ``delta_scale``, its deltas delta_scale*diff*y*(1-y), each as
-    a full-batch array (``None`` for the deltas without a scale).
+def _output_layer(model: AutoencoderModel, a4, x, sq, delta=None, delta_scale=None):
+    """Squared errors of the sigmoid output layer against the targets ``x``,
+    written into ``sq``, and, given ``delta``, its deltas
+    delta_scale*diff*y*(1-y), written into ``delta``.
 
-    The layer runs in row blocks of about _BLOCK_BYTES per array, so a
-    block's output and difference stay in cache through the elementwise
-    steps. Every entry keeps its arithmetic: a block's a4 @ w reduces over
-    the hidden width exactly as the full product does, and no block holds a
-    single row of a larger batch, which BLAS would compute as a
-    matrix-vector product with other rounding.
+    ``sq`` may be ``x`` itself: each row block's squares are written over
+    that block's targets once its difference is formed. The layer runs in
+    row blocks of about _BLOCK_BYTES per array, so a block's output and
+    difference stay in cache through the elementwise steps. Every entry keeps
+    its arithmetic: a block's a4 @ w reduces over the hidden width exactly as
+    the full product does, and no block holds a single row of a larger batch,
+    which BLAS would compute as a matrix-vector product with other rounding.
     """
     w, b = model.weights[4], model.biases[4]
     n, m = x.shape
@@ -309,8 +320,6 @@ def _output_layer(model: AutoencoderModel, a4, x, delta_scale=None):
     starts = list(range(0, n, rows))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
-    sq = np.empty_like(x)
-    delta = None if delta_scale is None else np.empty_like(x)
     buf = np.empty((min(n, rows + 1), m))
     for lo, hi in zip(starts, starts[1:] + [n]):
         y = np.matmul(a4[lo:hi], w, out=buf[: hi - lo])
@@ -325,53 +334,75 @@ def _output_layer(model: AutoencoderModel, a4, x, delta_scale=None):
             diff *= y
             np.subtract(1.0, y, out=y)
             diff *= y
-    return sq, delta
 
 
-def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
-    """Mean batch loss and its exact gradients w.r.t. every weight and bias.
+def _leading(buf, cols) -> np.ndarray:
+    """A C-contiguous (rows, cols) array over the first entries of the
+    contiguous (rows, >= cols) array ``buf``, whose values are dead."""
+    return buf.reshape(-1)[: buf.shape[0] * cols].reshape(buf.shape[0], cols)
+
+
+def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.ndarray]]:
+    """Mean loss of the batch ``data[rows]`` (all rows when ``rows`` is None)
+    and its exact gradients w.r.t. every weight and bias.
 
     The batch rows are both input and target (already normalized). The ReLU
     subgradient at 0 is taken as 0. The result equals the textbook form,
-    with the deltas ((c*diff)*y)*(1-y), bit for bit.
+    with the deltas ((c*diff)*y)*(1-y), bit for bit, and ``data`` is never
+    written to.
+
+    Two (batch, input) arrays hold everything as wide as the batch: the
+    gathered copy x and the output deltas d5. The latent z3 is computed into
+    d5 before the deltas overwrite it. The squared errors are written over
+    x's targets; x then takes z3 again, recomputed by the same product, and
+    d3 once z3 is dead. The inputs are gathered again into d5 once d4 has
+    read it.
     """
-    x = np.atleast_2d(np.asarray(batch, dtype=float))
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if rows is None:
+        rows = np.arange(data.shape[0])
+    x = data[rows]
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     w, b = model.weights, model.biases
     n_complex = model.input_dim // 2
     bsz = x.shape[0]
+    d5 = np.empty_like(x)
+    latent = w[2].shape[1]
 
     z1 = x @ w[0] + b[0]
     a1 = _relu(z1)
     z2 = a1 @ w[1] + b[1]
     a2 = _relu(z2)
-    z3 = a2 @ w[2]  # latent, linear
+    z3 = np.matmul(a2, w[2], out=_leading(d5, latent))  # latent, linear
     z3 += b[2]
     z4 = z3 @ w[3] + b[3]
     a4 = _relu(z4)
     # The loss and every product that reduces over the batch or the input
     # width run on the full batch: blocking them would reorder their sums.
-    sq, d5 = _output_layer(model, a4, x, 2.0 / (n_complex * bsz))
-    loss = float(np.sum(sq) / (n_complex * bsz))
-    del sq
+    _output_layer(model, a4, x, x, d5, 2.0 / (n_complex * bsz))
+    loss = float(np.sum(x) / (n_complex * bsz))
 
     gw5 = a4.T @ d5
     gb5 = d5.sum(axis=0)
     d4 = (d5 @ w[4].T) * (z4 > 0)
-    del d5
     # The gradients of the two weights with a wide input, (input, 10), are
     # taken as the transpose of the (10, input) product: the same sums in a
     # faster BLAS layout, copied back to row-major for the Adam step.
+    z3 = np.matmul(a2, w[2], out=_leading(x, latent))
+    z3 += b[2]
     gw4 = (d4.T @ z3).T.copy()
     gb4 = d4.sum(axis=0)
-    d3 = d4 @ w[3].T
+    d3 = np.matmul(d4, w[3].T, out=_leading(x, latent))
     gw3 = a2.T @ d3
     gb3 = d3.sum(axis=0)
     d2 = (d3 @ w[2].T) * (z2 > 0)
     gw2 = a1.T @ d2
     gb2 = d2.sum(axis=0)
     d1 = (d2 @ w[1].T) * (z1 > 0)
+    # rows passed the bounds check of the first gather; "wrap" reads them as
+    # it did, and unlike the default mode does not buffer the output.
+    x = np.take(data, rows, axis=0, out=d5, mode="wrap")
     gw1 = (d1.T @ x).T.copy()
     gb1 = d1.sum(axis=0)
 
@@ -380,7 +411,8 @@ def backprop(model: AutoencoderModel, batch) -> tuple[float, list[np.ndarray]]:
 
 def _batch_loss(model: AutoencoderModel, x) -> float:
     a4 = _relu(ae_encode(model, x) @ model.weights[3] + model.biases[3])
-    sq, _ = _output_layer(model, a4, x)
+    sq = np.empty_like(x)
+    _output_layer(model, a4, x, sq)
     return float(np.sum(sq) / ((model.input_dim // 2) * x.shape[0]))
 
 
@@ -395,25 +427,34 @@ class TrainSplit:
     rng: np.random.Generator  # the split's generator, past its permutation
 
 
-def split_dataset(dataset, seed=0, val_fraction: float = 0.2) -> TrainSplit:
-    """Shuffle-split raw realified CSI vectors and normalize them once.
+def split_dataset(samples, seed=0, val_fraction: float = 0.2) -> TrainSplit:
+    """Shuffle-split realified CSI vectors into one array and normalize it.
 
-    The permutation is the first draw of the generator seeded with ``seed``:
-    its first round(val_fraction * n) rows validate and the rest train. The
-    rows are gathered into one array in that order and normalized there, so
-    the caller's array is never written to.
+    ``samples`` is anything with ``len()`` whose integer index gives one
+    realified row, such as a 2-D array; it is read once per row and never
+    written to. The permutation is the first draw of the generator seeded
+    with ``seed``, and depends on nothing but the seed and the sample count:
+    row j of the split is sample order[j], its first round(val_fraction * n)
+    rows validate and the rest train. The statistics are taken from the
+    training rows, and the array is normalized in place and made read-only.
     """
-    data = np.asarray(dataset, dtype=float)
-    if data.ndim != 2 or data.shape[0] == 0:
+    n = len(samples)
+    if n == 0:
         raise ValueError("dataset must be a non-empty (n_samples, input_dim) array")
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(data.shape[0])
-    n_val = int(round(val_fraction * data.shape[0]))
-    if n_val >= data.shape[0]:
+    order = rng.permutation(n)
+    n_val = int(round(val_fraction * n))
+    if n_val >= n:
         raise ValueError("validation split leaves no training samples")
 
-    x = data[order]
+    first = np.asarray(samples[order[0]], dtype=float)
+    if first.ndim != 1:
+        raise ValueError("dataset must be a non-empty (n_samples, input_dim) array")
+    x = np.empty((n, first.size))
+    x[0] = first
+    for j in range(1, n):
+        x[j] = samples[order[j]]
     stats = NormStats(float(x[n_val:].min()), float(x[n_val:].max()))
     normalize(x, stats, out=x)
     x.flags.writeable = False
@@ -449,7 +490,7 @@ def train(
         perm = rng.permutation(n_train)
         losses = []
         for lo in range(0, n_train, batch_size):
-            loss, grads = backprop(model, split.train[perm[lo : lo + batch_size]])
+            loss, grads = backprop(model, split.train, perm[lo : lo + batch_size])
             adam_step(params, grads, state, learning_rate)
             losses.append(loss)
         train_curve.append(float(np.mean(losses)))

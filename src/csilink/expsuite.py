@@ -260,36 +260,45 @@ class SweepResult:
     models: dict[tuple[str, float], codec.AutoencoderModel]
 
 
-def build_training_set(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> np.ndarray:
-    """Realified CSI sample matrix drawn across pseudo-users of one profile."""
-    rows = np.empty((cfg.train.dataset_size, 2 * cfg.n_sc * cfg.n_r * cfg.n_t))
-    for i in range(cfg.train.dataset_size):
+class _TrainingSamples:
+    """A profile's training set as an indexable: item ``i`` synthesizes
+    sample ``i`` on its own seed and realifies it, so the set is only ever
+    held as the split built from it."""
+
+    def __init__(self, cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int):
+        self.cfg, self.profile, self.profile_idx = cfg, profile, profile_idx
+
+    def __len__(self) -> int:
+        return self.cfg.train.dataset_size
+
+    def __getitem__(self, i) -> np.ndarray:
+        cfg = self.cfg
         h = cm.synthesize_csi(
-            profile,
+            self.profile,
             cfg.ura,
             cfg.n_r,
             cfg.n_sc,
             cfg.delta_f,
-            stream_seed(cfg.master_seed, _TRAIN_DATA, profile_idx, i),
+            stream_seed(cfg.master_seed, _TRAIN_DATA, self.profile_idx, i),
         )
-        rows[i] = codec.realify(codec.vectorize_csi(h))
-    return rows
+        return codec.realify(codec.vectorize_csi(h))
+
+
+def build_training_set(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> codec.TrainSplit:
+    """A profile's training set of realified CSI drawn across pseudo-users,
+    split and normalized. Each sample is synthesized straight into its row
+    of the split, so no raw copy of the set exists."""
+    return codec.split_dataset(
+        _TrainingSamples(cfg, profile, profile_idx),
+        seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
+        val_fraction=cfg.train.val_fraction,
+    )
 
 
 def train_codec_family(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> dict[float, CodecBundle]:
     """One trained model per compression ratio, all on one training split."""
-    split = _training_split(cfg, profile, profile_idx)
+    split = build_training_set(cfg, profile, profile_idx)
     return {kappa: _train_codec(cfg, split, profile_idx, kappa) for kappa in cfg.kappas}
-
-
-def _training_split(cfg: ExperimentConfig, profile: cm.CdlProfile, profile_idx: int) -> codec.TrainSplit:
-    """A profile's training set, split and normalized. The raw set is dropped
-    here, so only its normalized copy lives through training."""
-    return codec.split_dataset(
-        build_training_set(cfg, profile, profile_idx),
-        seed=stream_seed(cfg.master_seed, _INIT, profile_idx, 1),
-        val_fraction=cfg.train.val_fraction,
-    )
 
 
 def _train_codec(cfg: ExperimentConfig, split: codec.TrainSplit, profile_idx: int, kappa: float) -> CodecBundle:
@@ -566,7 +575,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     if sweep is not None and (profile.name, kappa) in sweep.models:
         model = sweep.models[(profile.name, kappa)]
     else:
-        model = _train_codec(cfg, _training_split(cfg, profile, 0), 0, kappa).model
+        model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
 
     h_est = _user_estimates(cfg, profile, 0, user, rho_db)[1][0]
     latent = codec.compress(model, h_est)

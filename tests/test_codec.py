@@ -401,7 +401,7 @@ class TestBackprop:
         for g, want in zip(grads, want_grads):
             assert np.array_equal(g, want)
 
-    # At desk dims the output layer runs in blocks of 8 rows: 26 and 102 end
+    # At desk dims the output layer runs in blocks of 4 rows: 26 and 102 end
     # on a partial block, 9 on a single row that joins the block before it.
     @pytest.mark.parametrize("kappa", [0.1, 0.7])
     @pytest.mark.parametrize("bsz", [1, 9, 26, 102, 128])
@@ -417,10 +417,31 @@ class TestBackprop:
         for g, want in zip(grads, want_grads):
             assert np.array_equal(g, want)
 
+    # Row sets as train draws them from a desk epoch's 410 training rows.
+    @pytest.mark.parametrize("kappa", [0.1, 0.7])
+    @pytest.mark.parametrize("bsz", [1, 9, 26, 128])
+    def test_rows_of_read_only_data_match_textbook_oracle(self, kappa, bsz):
+        model = codec.ae_init(kappa, DESK_DIMS, 28)
+        rng = np.random.default_rng(29)
+        for bias in model.biases:
+            bias[:] = rng.normal(scale=0.5, size=bias.size)
+        data = rng.uniform(size=(410, model.input_dim))
+        data.flags.writeable = False
+        before = data.copy()
+        rows = rng.permutation(410)[:bsz]
+        loss, grads = codec.backprop(model, data, rows)
+        assert np.array_equal(data, before)
+        want_loss, want_grads = textbook_backprop(model, data[rows])
+        assert loss == want_loss
+        for g, want in zip(grads, want_grads):
+            assert np.array_equal(g, want)
+
     def test_empty_batch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
             codec.backprop(model, np.zeros((0, model.input_dim)))
+        with pytest.raises(ValueError):
+            codec.backprop(model, np.ones((4, model.input_dim)), np.arange(0))
 
 
 class TestBatchLoss:
@@ -493,6 +514,23 @@ class TestTrain:
         assert data.min() < train_raw.min() or data.max() > train_raw.max()
         assert (split.stats.lo, split.stats.hi) == (train_raw.min(), train_raw.max())
         assert np.array_equal(split.val, np.clip((data[order[:3]] - train_raw.min()) / np.ptp(train_raw), 0.0, 1.0))
+
+    def test_split_gathers_a_normalized_copy(self):
+        """The caller's array comes back unchanged, even read-only, and the
+        split is its rows in permutation order, normalized by the training
+        rows' extrema."""
+        data = channel_rows("cdl_c", self.dims, 20)
+        data.flags.writeable = False
+        before = data.copy()
+        split = codec.split_dataset(data, seed=27, val_fraction=0.2)
+        assert np.array_equal(data, before)
+        order = np.random.default_rng(27).permutation(20)
+        stats = codec.NormStats(float(data[order[4:]].min()), float(data[order[4:]].max()))
+        want = codec.normalize(data[order], stats)
+        assert split.stats == stats
+        assert np.array_equal(split.val, want[:4])
+        assert np.array_equal(split.train, want[4:])
+        assert not split.train.flags.writeable and not split.val.flags.writeable
 
     def test_split_leaving_no_training_rows_rejected(self):
         with pytest.raises(ValueError, match="no training samples"):
