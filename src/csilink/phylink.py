@@ -4,7 +4,12 @@ Payload bits are framed into per-stream codewords with a CRC, Gray-mapped to
 16-QAM, precoded per subcarrier with the SVD of the *reconstructed* channel
 (waterfilled eigenmode powers), propagated through the *true* channel with
 AWGN, combined, MMSE-equalized and detected with a per-symbol nearest-point
-decision.
+decision. G and F come from the SVD of the reconstruction the receiver sees,
+so G^H H_rec F is diagonal and the MMSE receiver is one complex weight per
+(subcarrier, stream) (Palomar, Cioffi & Lagunas, IEEE TSP 2003): with d the
+diagonal entry, w = conj(d) / (|d|^2 + sigma_n^2), of gain w d. Where the
+gain exceeds 1e-12 a stream is scaled by w / gain = 1 / d, elsewhere by w,
+which is exactly 0 on an unpowered mode (d = 0).
 
 16-QAM Gray map, per axis (2 bits -> amplitude before the 1/sqrt(10) scale):
     00 -> -3    01 -> -1    11 -> +1    10 -> +3
@@ -18,13 +23,13 @@ depends on the channel or the SNR, so one ``TxBlock`` serves every ratio and
 SNR of a realization. The block keeps the ``LinkConfig`` it was framed with;
 ``run_link_once`` takes it from the precoder on, at any SNR of that config.
 
-The per-subcarrier products of the chain use stacked ``@``; they differ from
-the ``einsum`` form only in the last bit, which moves no detection decision.
-The precoder takes its singular triplets from ``eigh`` of the short-side Gram
-rather than LAPACK's SVD, again differing only in the last bits. The pilot
-path keeps ``einsum``, since ``matmul`` there changes the estimates' last
-bits and with them the sweep's ``recon_mse``. The CRC is one float32 matrix
-product, exact for rows shorter than 2^24 bits.
+The chain's per-subcarrier products use stacked ``@`` and the per-stream
+scale, and the precoder takes its singular triplets from ``eigh`` of the
+short-side Gram: they differ from the ``einsum`` form, the MMSE solve and
+LAPACK's SVD only in the last bits, which moves no detection decision. The
+pilot path keeps ``einsum``, since ``matmul`` there changes the estimates'
+last bits and with them the sweep's ``recon_mse``. The CRC is one float32
+matrix product, exact for rows shorter than 2^24 bits.
 """
 
 from __future__ import annotations
@@ -185,27 +190,21 @@ def qam16_modulate(bits) -> np.ndarray:
     return (i + 1j * q) * QAM16_SCALE
 
 
-def _detect_axis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis decision. Boundaries at 0 and +-2/sqrt(10); exact boundary
-    ties go to the level with the smaller Gray label, so 0 -> -1 (01),
-    -2/sqrt(10) -> -3 (00) and +2/sqrt(10) -> +3 (10)."""
-    t = 2.0 * QAM16_SCALE
-    b0 = (x > 0).astype(np.uint8)
-    b1 = ((x > -t) & (x < t)).astype(np.uint8)
-    return b0, b1
-
-
 def qam16_detect(symbols) -> np.ndarray:
-    """Nearest-constellation-point decision, inverse of qam16_modulate."""
+    """Nearest-constellation-point decision, inverse of qam16_modulate.
+
+    Per axis the boundaries are 0 and +-2/sqrt(10); exact boundary ties go to
+    the level with the smaller Gray label, so 0 -> -1 (01), -2/sqrt(10) -> -3
+    (00) and +2/sqrt(10) -> +3 (10). The four decisions of a symbol go
+    straight into the columns of one bool array; |x| < t decides as
+    (x > -t) & (x < t) does at +-t, +-0, +-inf and NaN."""
     z = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    i0, i1 = _detect_axis(z.real)
-    q0, q1 = _detect_axis(z.imag)
-    out = np.empty((z.size, 4), dtype=np.uint8)
-    out[:, 0] = i0
-    out[:, 1] = i1
-    out[:, 2] = q0
-    out[:, 3] = q1
-    return out.reshape(-1)
+    t = 2.0 * QAM16_SCALE
+    out = np.empty((z.size, 4), dtype=bool)
+    for col, x in ((0, z.real), (2, z.imag)):
+        np.greater(x, 0.0, out=out[:, col])
+        np.less(np.abs(x), t, out=out[:, col + 1])
+    return out.view(np.uint8).reshape(-1)
 
 
 def generate_pilots(n_pilot: int, n_t: int, seed, orthogonal: bool = False) -> np.ndarray:
@@ -334,29 +333,22 @@ def _svd_triplets(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a_h = a.conj().transpose(0, 2, 1)
     lam, short = np.linalg.eigh(a @ a_h)
     order = np.argsort(-lam, axis=-1, kind="stable")
-    s = np.sqrt(np.maximum(np.take_along_axis(lam, order, axis=-1), 0.0))
-    short = np.take_along_axis(short, order[:, None, :], axis=-1)
-    # Dividing by inf leaves a zero mode's long-side vector zero, not NaN.
-    long = a_h @ short / np.where(s > 0, s, np.inf)[:, None, :]
+    rows = np.arange(lam.shape[0])[:, None]
+    s = np.sqrt(np.maximum(lam[rows, order], 0.0))
+    short = short[rows[:, :, None], np.arange(lam.shape[1])[:, None], order[:, None, :]]
+    # A zero mode's reciprocal is 0, so its long-side vector is zero, not NaN.
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+    long = a_h @ short * inv[:, None, :]
     return (short, s, long) if wide else (long, s, short)
 
 
 def _canonical_columns(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     idx = np.argmax(np.abs(m), axis=1)
-    lead = np.take_along_axis(m, idx[:, None, :], axis=1)[:, 0, :]
+    lead = m[np.arange(m.shape[0])[:, None], idx, np.arange(m.shape[2])]
     mag = np.abs(lead)
     phase = np.where(mag > 0, lead / np.where(mag > 0, mag, 1.0), 1.0)
     return m * phase.conj()[:, None, :]
-
-
-def mmse_equalizer(h_eff: np.ndarray, noise_var: float) -> np.ndarray:
-    """W = (H^H H + noise_var*I)^{-1} H^H for each matrix of a (batch, m, n) stack."""
-    h = np.asarray(h_eff, dtype=np.complex128)
-    n = h.shape[-1]
-    h_h = h.conj().transpose(0, 2, 1)
-    gram = h_h @ h + noise_var * np.eye(n)[None, :, :]
-    return np.linalg.solve(gram, h_h)
 
 
 def frame_codewords(payload: np.ndarray, cfg: LinkConfig) -> np.ndarray:
@@ -410,16 +402,35 @@ def transmit_block(payload, cfg: LinkConfig, seed) -> TxBlock:
     return TxBlock(tx_cw, s_grid, unit, np.asarray(payload).size, cfg)
 
 
+def _equalized_grid(tx: TxBlock, pset: PrecodeSet, h_true: np.ndarray, h_recon: np.ndarray, noise_var: float) -> np.ndarray:
+    """The combined and equalized grid (n_sc, n_streams, n_periods), each
+    stream scaled as the module docstring says; 1/d is formed only where it
+    is used, so no division warns."""
+    g_h = pset.g.conj().transpose(0, 2, 1)
+    d = np.sum(pset.g.conj() * (h_recon @ pset.f), axis=1)
+    mag2 = d.real**2 + d.imag**2
+    power = mag2 + noise_var
+    scale = d.conj() / power
+    active = mag2 / power > 1e-12
+    scale[active] = 1.0 / d[active]
+
+    z = g_h @ h_true @ pset.f @ tx.symbols
+    z += (math.sqrt(noise_var / 2.0) * g_h) @ tx.unit_noise
+    z *= scale[:, :, None]
+    return z
+
+
 def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cfg: LinkConfig) -> LinkResult:
     """One pass of a transmitted block through the channel and the receiver.
 
     The precoder, combiner and equalizer are derived from ``h_recon``;
     propagation uses ``h_true``, and the link noise is ``tx.unit_noise``
     scaled to the SNR of ``cfg``. ``tx`` must come from ``transmit_block``
-    with a config equal to ``cfg`` in every field but the SNR. The precoder's
-    Gram-based triplets and the matmul chain differ from LAPACK's SVD and
-    ``einsum`` in the last bits only, and the tests require the same error
-    counts as that textbook chain.
+    with a config equal to ``cfg`` in every field but the SNR. G and F
+    diagonalize ``h_recon``, so the MMSE weight is one complex scale per
+    stream, 1/d where its gain exceeds 1e-12, and no 4x4 solve undoes what
+    the SVD already did. The tests require the same error counts as the
+    textbook chain of LAPACK's SVD, ``einsum`` products and the MMSE solve.
     """
     if h_true.dims != (cfg.n_sc, cfg.n_r, cfg.n_t) or h_recon.dims != h_true.dims:
         raise ValueError("channel tensor dimensions do not match the link config")
@@ -430,31 +441,17 @@ def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cf
     n_cw, l_cw = tx_cw.shape
 
     pset = svd_precoder(h_recon, noise_var, cfg.subcarrier_power)
-    g_h = pset.g.conj().transpose(0, 2, 1)
-    h_eff = g_h @ h_recon.data @ pset.f
-    w = mmse_equalizer(h_eff, noise_var)
-    chain_true = g_h @ h_true.data @ pset.f
-    a = w @ chain_true
-    b = w @ g_h
-
-    noise = math.sqrt(noise_var / 2.0) * tx.unit_noise
-    z = a @ tx.symbols + b @ noise
-
-    # MMSE biases the symbol amplitude; undo the per-stream effective gain.
-    gain = np.real(np.einsum("ksm,kms->ks", w, h_eff))
-    gain = np.where(gain > 1e-12, gain, 1.0)
-    z = z / gain[:, :, None]
+    z = _equalized_grid(tx, pset, h_true.data, h_recon.data, noise_var)
 
     rx_bits = qam16_detect(z.transpose(2, 1, 0).reshape(-1))
     rx_rows = rx_bits.reshape(n_cw, l_cw + cfg.crc_degree)
     crc_ok = crc_check_many(rx_rows, cfg.crc_poly)
     rx_payload = rx_rows[:, :l_cw]
 
-    bit_errors = int(np.sum(rx_payload != tx_cw))
     counts = ErrorCounts(
-        bit_errors=bit_errors,
+        bit_errors=int(np.count_nonzero(rx_payload != tx_cw)),
         bits_total=tx_cw.size,
-        block_errors=int(np.sum(~crc_ok)),
+        block_errors=n_cw - int(np.count_nonzero(crc_ok)),
         blocks_total=n_cw,
     )
     detected = rx_payload.reshape(-1)[: tx.payload_bits]

@@ -190,6 +190,29 @@ class TestQam16:
         with pytest.raises(ValueError):
             pl.qam16_modulate([0, 1, 0])
 
+    def test_edges_match_two_comparison_rule(self):
+        """The column writes decide as the per-axis rule b0 = x > 0,
+        b1 = (x > -t) & (x < t) does, bit for bit, at the boundaries, one ulp
+        either side of them, signed zeros, infinities and NaN, on both axes."""
+        t = 2.0 * pl.QAM16_SCALE
+
+        def two_comparisons(x):
+            return (x > 0).astype(np.uint8), ((x > -t) & (x < t)).astype(np.uint8)
+
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 2.0 / math.sqrt(10.0), -2.0 / math.sqrt(10.0)]
+        for b in (0.0, t, -t):
+            edges += [b, np.nextafter(b, math.inf), np.nextafter(b, -math.inf)]
+        x = np.array(edges)
+        z = np.empty(x.size * x.size, dtype=complex)
+        z.real = np.repeat(x, x.size)
+        z.imag = np.tile(x, x.size)
+        i0, i1 = two_comparisons(z.real)
+        q0, q1 = two_comparisons(z.imag)
+        expected = np.stack([i0, i1, q0, q1], axis=1).reshape(-1)
+        got = pl.qam16_detect(z)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, expected)
+
 
 class TestPilots:
     def test_full_rank_over_seeds(self):
@@ -438,31 +461,6 @@ class TestSvdPrecoder:
         assert np.allclose(pset.f, vh.conj().transpose(0, 2, 1) * np.sqrt(pset.powers)[:, None, :], atol=1e-15)
 
 
-class TestMmse:
-    def test_identity_zero_noise(self):
-        w = pl.mmse_equalizer(np.eye(3).astype(complex)[None], noise_var=0.0)[0]
-        assert np.allclose(w, np.eye(3), atol=1e-12)
-
-    def test_zero_forcing_limit(self):
-        rng = np.random.default_rng(18)
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        w = pl.mmse_equalizer(h[None], noise_var=1e-12)[0]
-        assert np.abs(w - np.linalg.inv(h)).max() < 1e-6
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(19)
-        h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        nv = 0.37
-        w = pl.mmse_equalizer(h[None], noise_var=nv)[0]
-        oracle = np.linalg.inv(h.conj().T @ h + nv * np.eye(2)) @ h.conj().T
-        assert np.abs(w - oracle).max() < 1e-10
-
-    def test_singular_channel_zero_noise_errors(self):
-        h = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(np.linalg.LinAlgError):
-            pl.mmse_equalizer(h[None], noise_var=0.0)
-
-
 class TestNoiseVar:
     cfg = pl.LinkConfig(n_t=16, n_r=4, n_sc=128, snr_db=0.0)
 
@@ -586,10 +584,11 @@ def gray16_ber(gamma):
 
 
 class TestLinkClosedForm:
-    """With perfect CSI, SVD precoding, MMSE combining and the gain
-    correction turn stream i on subcarrier k into an AWGN channel at SNR
-    sigma_ki^2 * p_ki / sigma_n^2, so each stream's measured BER must match
-    the subcarrier mean of the closed-form Gray 16-QAM BER."""
+    """With perfect CSI, SVD precoding, the matched combiner and the
+    per-stream scale 1/d (the MMSE weight with its gain undone) turn stream i
+    on subcarrier k into an AWGN channel at SNR sigma_ki^2 * p_ki / sigma_n^2,
+    so each stream's measured BER must match the subcarrier mean of the
+    closed-form Gray 16-QAM BER."""
 
     N_SC, N_R, N_T = 128, 4, 16
     N_DRAWS = 6
@@ -631,6 +630,59 @@ class TestLinkClosedForm:
         stderr = np.sqrt(theory * (1.0 - theory) / bits)
         z = (measured - theory) / stderr
         assert np.all(np.abs(z) < self.Z_BOUND), (measured, theory, z)
+
+
+def textbook_equalized_grid(tx, pset, h_true, h_recon, noise_var):
+    """(W·chain·S + W·Gᴴ·N) / gain with the full MMSE solve per subcarrier,
+    W = (H_effᴴ H_eff + σ²I)⁻¹ H_effᴴ on H_eff = Gᴴ h_recon F."""
+    g_h = pset.g.conj().transpose(0, 2, 1)
+    h_eff = g_h @ h_recon @ pset.f
+    h_eff_h = h_eff.conj().transpose(0, 2, 1)
+    w = np.linalg.solve(h_eff_h @ h_eff + noise_var * np.eye(h_eff.shape[-1]), h_eff_h)
+    z = w @ (g_h @ h_true @ pset.f) @ tx.symbols + w @ g_h @ (math.sqrt(noise_var / 2.0) * tx.unit_noise)
+    gain = np.real(np.einsum("ksm,kms->ks", w, h_eff))
+    return z / np.where(gain > 1e-12, gain, 1.0)[:, :, None]
+
+
+class TestEqualizedGrid:
+    """The per-stream receiver of run_link_once against the textbook MMSE
+    solve, on random 4x16 channels whose singular values span three decades,
+    so waterfilling leaves some modes unpowered, and on reconstructions that
+    miss the channel by an error of entry variance 1e-6."""
+
+    N_SC, N_R, N_T = 16, 4, 16
+    # Relative to the larger of the unit symbol energy and the entry itself.
+    # The two forms differ by rounding, which the spread of the singular
+    # values amplifies: up to about 5e-12 at 30 dB.
+    REL_BOUND = 1e-9
+
+    def spread_channel(self, rng):
+        def orthonormal(n):
+            shape = (self.N_SC, n, self.N_R)
+            return np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+
+        s = 10.0 ** rng.uniform(-3.0, 0.0, size=(self.N_SC, self.N_R))
+        return (orthonormal(self.N_R) * s[:, None, :]) @ orthonormal(self.N_T).conj().transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+    def test_matches_textbook_mmse(self, snr_db):
+        rng = np.random.default_rng(int(snr_db) + 70)
+        cfg = pl.LinkConfig(n_t=self.N_T, n_r=self.N_R, n_sc=self.N_SC, snr_db=snr_db)
+        noise_var = pl.noise_var_from_snr(cfg)
+        unpowered = 0
+        for draw in range(8):
+            h_true = self.spread_channel(rng)
+            h_recon = h_true + 1e-3 * random_channel(rng, self.N_SC, self.N_R, self.N_T).data
+            tx = pl.transmit_block(rng.integers(0, 2, 4000, dtype=np.uint8), cfg, draw)
+            pset = pl.svd_precoder(cm.ChannelTensor(h_recon), noise_var, cfg.subcarrier_power)
+            with np.errstate(all="raise"):
+                z = pl._equalized_grid(tx, pset, h_true, h_recon, noise_var)
+            ref = textbook_equalized_grid(tx, pset, h_true, h_recon, noise_var)
+            assert np.all(np.abs(z - ref) <= self.REL_BOUND * np.maximum(1.0, np.abs(ref)))
+            off = pset.powers == 0
+            assert np.all(z[off] == 0)
+            unpowered += np.count_nonzero(off)
+        assert unpowered > 0
 
 
 def lapack_precoder(h_recon, noise_var, budget):
@@ -682,9 +734,10 @@ def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
 
 
 class TestLinkMatchesEinsumChain:
-    """run_link_once forms its per-subcarrier products with stacked matmul
-    and its singular triplets from the short-side Gram. Those differ from the
-    einsum form and LAPACK's SVD only in the last bits of each entry, and such
+    """run_link_once forms its per-subcarrier products with stacked matmul,
+    its singular triplets from the short-side Gram and its equalizer as one
+    complex scale per stream. Those differ from the einsum form, LAPACK's SVD
+    and the MMSE solve only in the last bits of each entry, and such
     a shift moves no detection decision except on a draw that lands within it
     of a decision boundary, so the error counts must be equal."""
 
@@ -704,3 +757,25 @@ class TestLinkMatchesEinsumChain:
                 h_recon = pl.ls_estimate(x, pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
                 res = pl.run_link_once(pl.transmit_block(payload, cfg, 2000 + seed), h, h_recon, cfg)
                 assert res.counts == einsum_link_counts(payload, h, h_recon, cfg, 2000 + seed), (seed, snr_db)
+
+    @pytest.mark.parametrize("profile_name, snr_db", [("cdl_e", 0.0), ("cdl_c", 30.0)])
+    def test_counts_equal_at_desk_dims(self, profile_name, snr_db):
+        """128 subcarriers, 4 receive antennas and a 4x4 URA with 64 pilots,
+        as in the desk sweep. On CDL-E at 0 dB waterfilling leaves streams 3
+        and 4 partly or wholly unpowered, so the zero-gain branch of the
+        per-stream receiver runs."""
+        profile = cm.load_cdl_profile(cm.shipped_profile_path(profile_name))
+        geom = cm.UraGeometry(4, 4)
+        cfg = pl.LinkConfig(n_t=geom.n_elements, n_r=4, n_sc=128, snr_db=snr_db)
+        noise_var = pl.noise_var_from_snr(cfg)
+        unpowered = 0
+        for seed in range(3):
+            h = cm.synthesize_csi(profile, geom, cfg.n_r, cfg.n_sc, 15e3, 300 + seed)
+            x = pl.generate_pilots(64, geom.n_elements, seed)
+            h_recon = pl.ls_estimate(x, pl.observe_pilots(h, x, noise_var, seed=1000 + seed))
+            payload = np.random.default_rng(seed).integers(0, 2, 100_000, dtype=np.uint8)
+            res = pl.run_link_once(pl.transmit_block(payload, cfg, 2000 + seed), h, h_recon, cfg)
+            assert res.counts == einsum_link_counts(payload, h, h_recon, cfg, 2000 + seed), seed
+            unpowered += np.count_nonzero(pl.svd_precoder(h_recon, noise_var, cfg.subcarrier_power).powers == 0)
+        if profile_name == "cdl_e":
+            assert unpowered > 0
