@@ -3,9 +3,7 @@
 The sweep rows of one channel are averaged into a table of mean BLER per
 (SNR, compression ratio); for each SNR the policy picks the ratio with the
 lowest mean BLER among those meeting the BLER ceiling, falling back to
-uncompressed feedback when nothing qualifies. Slot scheduling covers the two
-training/inference interleaving patterns (duty cycle, staggered) and a
-loss-threshold retraining trigger.
+uncompressed feedback when nothing qualifies.
 """
 
 from __future__ import annotations
@@ -14,13 +12,8 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Sentinel ratio meaning "send the raw estimate" (the uncompressed baseline).
 NO_COMPRESSION = 0.0
-
-TRAIN = "TRAIN"
-INFER = "INFER"
 
 
 class PolicyError(LookupError):
@@ -109,51 +102,6 @@ def export_policy_csv(table: PolicyTable, path):
         for e in table.entries:
             kappa = "baseline" if e.kappa == NO_COMPRESSION else repr(e.kappa)
             writer.writerow([repr(e.bucket_low_db), repr(e.bucket_high_db), kappa, repr(e.measured_bler)])
-
-
-@dataclass(frozen=True)
-class SlotSchedule:
-    pattern: str
-    frame_length: int
-    parameter: float
-    assignment: tuple[str, ...]
-
-
-def schedule_slots(pattern: str, frame_length: int, parameter) -> SlotSchedule:
-    """Slot roles for one radio frame.
-
-    duty_cycle: the first ceil(fraction*frame_length) slots train, the rest
-    infer. staggered: slot i trains iff i % occasion == 0.
-    """
-    if frame_length < 1:
-        raise ValueError("frame_length must be >= 1")
-    if pattern == "duty_cycle":
-        fraction = float(parameter)
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("duty-cycle fraction must lie in [0, 1]")
-        n_train = math.ceil(fraction * frame_length)
-        roles = tuple(TRAIN if i < n_train else INFER for i in range(frame_length))
-    elif pattern == "staggered":
-        occasion = int(parameter)
-        if occasion < 1:
-            raise ValueError("measurement occasion must be >= 1")
-        roles = tuple(TRAIN if i % occasion == 0 else INFER for i in range(frame_length))
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}")
-    return SlotSchedule(pattern=pattern, frame_length=frame_length, parameter=float(parameter), assignment=roles)
-
-
-def default_invalidation_threshold(final_train_loss: float) -> float:
-    """Retraining trigger level: twice the deployed model's final training loss."""
-    return 2.0 * final_train_loss
-
-
-def check_invalidation(inference_losses, threshold: float) -> bool:
-    """Retrain when the window-mean inference loss strictly exceeds the threshold."""
-    losses = np.asarray(inference_losses, dtype=float)
-    if losses.size == 0:
-        raise ValueError("need a non-empty loss window")
-    return bool(np.mean(losses) > threshold)
 
 
 def run_adaptive(table: PolicyTable, sweep_rhos, static_kappa: float, counts) -> list[dict]:

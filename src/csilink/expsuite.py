@@ -111,12 +111,14 @@ class TrainSettings:
         _check_field_types(self)
         if self.epochs < 1 or self.batch_size < 1 or self.dataset_size < 1:
             raise ValueError("epochs, batch_size and dataset_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        # The same split rule codec.split_dataset applies.
-        n_val = int(round(self.val_fraction * self.dataset_size))
-        if self.val_fraction < 0 or n_val >= self.dataset_size:
-            raise ValueError("val_fraction must be >= 0 and leave at least one training sample")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        # NaN and infinity fail the range test before the rounding; the second
+        # test is the split rule codec.split_dataset applies.
+        if not 0 <= self.val_fraction < 1 or int(round(self.val_fraction * self.dataset_size)) >= self.dataset_size:
+            raise ValueError(
+                f"val_fraction must be finite, >= 0 and leave at least one training sample, got {self.val_fraction}"
+            )
 
 
 @dataclass(frozen=True)
@@ -156,8 +158,8 @@ class ExperimentConfig:
             raise ValueError("need at least one fading block")
         if self.payload_bits < self.n_blocks:
             raise ValueError("payload_bits must be at least n_blocks, one bit per fading block")
-        if not self.delta_f > 0:
-            raise ValueError("delta_f must be positive")
+        if not 0 < self.delta_f < math.inf:
+            raise ValueError(f"delta_f must be positive and finite, got {self.delta_f}")
         self.ura
         for rho in self.rhos:
             pl.noise_var_from_snr(self.link_config(rho))
@@ -414,9 +416,10 @@ def evaluate_point(
 
     Channel, payload and unit-noise streams do not depend on the ratio or the
     SNR, so points are paired across both and read the realization's cached
-    estimates and transmitted blocks. Returns the merged error counts, the
-    mean reconstruction MSE (0 for the uncompressed baseline) and the seconds
-    spent in the codec.
+    estimates and transmitted blocks. A compressed point sends each block's
+    latent through the wire format, as the user's feedback would travel.
+    Returns the merged error counts, the mean reconstruction MSE (0 for the
+    uncompressed baseline) and the seconds spent in the codec.
     """
     link_cfg = cfg.link_config(rho_db)
     realization, estimates = _user_estimates(cfg, profile, profile_idx, user, rho_db)
@@ -430,7 +433,7 @@ def evaluate_point(
             h_rec = h_est
         else:
             start = time.perf_counter()
-            h_rec = codec.decompress(model, codec.compress(model, h_est))
+            h_rec = codec.decompress(model, codec.deserialize(codec.serialize(codec.compress(model, h_est))))
             codec_seconds += time.perf_counter() - start
             mse_sum += codec.mse_loss(
                 codec.realify(codec.vectorize_csi(h_est)),

@@ -5,6 +5,7 @@ them). The desk sweep and the adaptive experiment run once per session and
 feed the statistical criteria; tolerances are pinned next to each check.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -16,6 +17,22 @@ from csilink import chanmodel as cm
 from csilink import codec
 from csilink import expsuite as ex
 from csilink import phylink as pl
+
+
+# Full SHA-256 of every result file the desk fixtures write. Another numpy or
+# BLAS build may round differently; a deliberate rebaseline edits these.
+PINNED_WITH = "numpy 2.4.6 and scipy-openblas 0.3.31"
+DESK_RESULT_SHA256 = {
+    "sweep.csv": "0af4293beab2cdf6ea010e35b3ccc5ad45ef2f0300c27e6afb0cd3e1d41f6769",
+    "adaptive.csv": "78cbd6a2b6e7daaac462b5e3e80b77bfc2b2f47f853095d845cf5ac2d24fc757",
+    "policy.csv": "93e278c31aea4613a184fe5d510e1066894959c0266d964d65ca1a3a27748bb8",
+    "history_CDL-C_0.1.csv": "972d4e2a836d7de42948a691845ded5df01b9d615f3d06e3aa84af1e3555b624",
+    "history_CDL-C_0.5.csv": "4366fda10198da354fe43cfb415bfed7a74e1f7fce33bc75817c3dde5918fae8",
+    "history_CDL-C_0.7.csv": "71fea1438cbd553b10e7d0431f67d1f6af5f06875e1ad15f583cbc825ae91eb0",
+    "history_CDL-E_0.1.csv": "2cfc08d661e04fe38b0234c87264bddecc79c4c7ec5c2986c497ca57f60b8539",
+    "history_CDL-E_0.5.csv": "7ee7e7f1c82a9eacee62b0850a4e70a0ae75f5d27c16fc9b00a8b33d5e022a41",
+    "history_CDL-E_0.7.csv": "50ea4b855f89afd8aa66dd4bdd14ae6529db8f3a9379f412f397de3c47a47d53",
+}
 
 
 def report(name, ok, detail=""):
@@ -361,3 +378,20 @@ class TestCriterion8Determinism:
             ex.run_sweep(cfg, out_dir=out)
         same = (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
         report("8 sweep reruns are byte-identical", same, "same master seed, two runs")
+
+
+class TestResultBytes:
+    def test_desk_result_files_match_pins(self, desk, desk_adaptive):
+        """Every byte of sweep.csv, adaptive.csv, policy.csv and the training
+        histories equals the pinned run."""
+        out = desk[2]
+        mismatches = []
+        for name, pinned in DESK_RESULT_SHA256.items():
+            got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            if got != pinned:
+                mismatches.append(f"{name}: sha256 {got}, pinned {pinned}")
+        report(
+            "result bytes equal the pins",
+            not mismatches,
+            "; ".join(mismatches) + f" (pins taken with {PINNED_WITH}; this run has numpy {np.__version__})",
+        )

@@ -107,70 +107,6 @@ class TestPolicyTable:
         assert tuple(back) == table.entries
 
 
-class TestScheduleSlots:
-    def test_duty_cycle_reference(self):
-        sched = ad.schedule_slots("duty_cycle", 10, 0.5)
-        assert sched.assignment == (ad.TRAIN,) * 5 + (ad.INFER,) * 5
-
-    def test_staggered_reference(self):
-        sched = ad.schedule_slots("staggered", 6, 2)
-        assert sched.assignment == (ad.TRAIN, ad.INFER) * 3
-
-    def test_degenerate_frame(self):
-        assert ad.schedule_slots("duty_cycle", 1, 1.0).assignment == (ad.TRAIN,)
-
-    def test_exhaustive_closed_forms(self):
-        import math
-        for frame in range(1, 65):
-            for fraction in (0.0, 0.25, 0.5, 1.0):
-                roles = ad.schedule_slots("duty_cycle", frame, fraction).assignment
-                n_train = math.ceil(fraction * frame)
-                assert roles == tuple(
-                    ad.TRAIN if i < n_train else ad.INFER for i in range(frame)
-                )
-            for occasion in (1, 2, 3, 7):
-                roles = ad.schedule_slots("staggered", frame, occasion).assignment
-                assert roles == tuple(
-                    ad.TRAIN if i % occasion == 0 else ad.INFER for i in range(frame)
-                )
-
-    def test_every_slot_assigned(self):
-        for frame in (1, 5, 64):
-            sched = ad.schedule_slots("staggered", frame, 3)
-            assert len(sched.assignment) == frame
-            assert set(sched.assignment) <= {ad.TRAIN, ad.INFER}
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            ad.schedule_slots("duty_cycle", 10, 1.5)
-        with pytest.raises(ValueError):
-            ad.schedule_slots("staggered", 10, 0)
-        with pytest.raises(ValueError):
-            ad.schedule_slots("unknown", 10, 1)
-        with pytest.raises(ValueError):
-            ad.schedule_slots("duty_cycle", 0, 0.5)
-
-
-class TestInvalidation:
-    def test_default_threshold_doubles_final_loss(self):
-        assert ad.default_invalidation_threshold(0.02) == pytest.approx(0.04)
-        assert not ad.check_invalidation([0.03], ad.default_invalidation_threshold(0.02))
-        assert ad.check_invalidation([0.05], ad.default_invalidation_threshold(0.02))
-
-    def test_below_threshold_keeps_model(self):
-        assert not ad.check_invalidation([0.1, 0.2, 0.15], threshold=0.5)
-
-    def test_above_threshold_retrains(self):
-        assert ad.check_invalidation([0.6, 0.7], threshold=0.5)
-
-    def test_boundary_is_not_invalidation(self):
-        assert not ad.check_invalidation([0.5, 0.5], threshold=0.5)
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            ad.check_invalidation([], threshold=0.5)
-
-
 class TestRunAdaptive:
     def test_policy_collapse_to_dominant_ratio(self):
         rhos = (0.0, 5.0, 10.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 from dataclasses import asdict, replace
@@ -13,6 +14,10 @@ from csilink import expsuite as ex
 from csilink import phylink as pl
 
 DESK_JSON = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+
+# SHA-256 of the tiny config's sweep.csv, taken with numpy 2.4.6 and
+# scipy-openblas 0.3.31.
+TINY_SWEEP_SHA256 = "d8e18525c057b52b59398a64e925e756a1a49b29fad3e5e9964084ee0302144c"
 
 
 def tiny_config(**overrides):
@@ -110,6 +115,7 @@ class TestConfig:
             pytest.param(dict(payload_bits=-5), "payload_bits", id="negative_payload"),
             pytest.param(dict(payload_bits=0), "payload_bits", id="empty_payload"),
             pytest.param(dict(delta_f=0.0), "delta_f", id="zero_subcarrier_spacing"),
+            pytest.param(dict(delta_f=float("inf")), "delta_f must be positive and finite", id="infinite_subcarrier_spacing"),
             pytest.param(dict(n_sc=0), "subcarrier counts", id="no_subcarriers"),
             pytest.param(dict(ura_rows=0), "at least one element", id="empty_tx_array"),
             pytest.param(dict(static_kappa=0.9), "static_kappa", id="static_kappa_not_swept"),
@@ -118,9 +124,12 @@ class TestConfig:
             pytest.param(dict(train=dict(epochs=0)), "epochs", id="zero_epochs"),
             pytest.param(dict(train=dict(batch_size=0)), "batch_size", id="zero_batch"),
             pytest.param(dict(train=dict(learning_rate=0.0)), "learning_rate", id="zero_learning_rate"),
+            pytest.param(dict(train=dict(learning_rate=float("inf"))), "learning_rate must be positive and finite", id="infinite_learning_rate"),
             pytest.param(dict(train=dict(dataset_size=0)), "dataset_size", id="empty_dataset"),
             pytest.param(dict(train=dict(val_fraction=-0.1)), "val_fraction", id="negative_val_fraction"),
             pytest.param(dict(train=dict(val_fraction=1.0)), "val_fraction", id="no_training_sample"),
+            pytest.param(dict(train=dict(val_fraction=float("nan"))), "val_fraction must be finite", id="nan_val_fraction"),
+            pytest.param(dict(train=dict(val_fraction=float("inf"))), "val_fraction must be finite", id="infinite_val_fraction"),
             pytest.param(dict(b_max=-1.0), "b_max", id="negative_bler_ceiling"),
             pytest.param(dict(b_max=float("nan")), "b_max", id="nan_bler_ceiling"),
             pytest.param(dict(b_max=2.0), "b_max", id="bler_ceiling_above_one"),
@@ -261,6 +270,28 @@ class TestRunSweep:
         ex._user_realization.cache_clear()  # forked workers would inherit it
         parallel = ex.run_sweep(cfg, threads=2)
         assert parallel.rows == result.rows
+
+    def test_csv_bytes_match_pin(self, tiny_sweep):
+        _, _, out = tiny_sweep
+        got = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert got == TINY_SWEEP_SHA256, (
+            f"sweep.csv sha256 {got}, pinned {TINY_SWEEP_SHA256} "
+            "(pin taken with numpy 2.4.6 and scipy-openblas 0.3.31)"
+        )
+
+    def test_compressed_feedback_crosses_the_wire(self, tiny_sweep, monkeypatch):
+        """A compressed point sends each block's float32 latent through
+        serialize and deserialize; the uncompressed baseline sends none."""
+        cfg, result, _ = tiny_sweep
+        cfg = replace(cfg, n_blocks=2)
+        profile = ex.resolve_profile("cdl_e")
+        sent = record_calls(monkeypatch, codec, "serialize")
+        received = record_calls(monkeypatch, codec, "deserialize")
+        ex.evaluate_point(cfg, profile, 0, None, 10.0, 0)
+        assert sent == received == []
+        ex.evaluate_point(cfg, profile, 0, result.models[("CDL-E", 0.5)], 10.0, 0)
+        assert len(sent) == len(received) == cfg.n_blocks
+        assert all(latent.values.dtype == np.float32 for latent, in sent)
 
     def test_histories_and_models_returned(self, tiny_sweep):
         cfg, result, _ = tiny_sweep

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 
 import pytest
@@ -7,8 +8,44 @@ import csilink
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = pathlib.Path(csilink.__file__).resolve().parent
+
+# Public names that no code in the package refers to, each with the reason it
+# stays. Every other public function and class has a caller in a run.
+UNREACHED_PUBLIC_NAMES = {
+    "overhead_bits",  # criterion 7b specifies the feedback size in closed form
+    "save_model",  # model files on disk (ROADMAP: keep models on disk)
+    "load_model",  # the reader of those model files
+    "save_config",  # the config as loaded, for the run manifest (ROADMAP item 1a)
+}
 
 
 def test_version_matches_pyproject():
     with PYPROJECT.open("rb") as fh:
         assert csilink.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def unreferenced_public_names():
+    """Public top-level functions and classes of the package that no Name,
+    Attribute or from-import in the package refers to."""
+    defined, referenced = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return defined - referenced
+
+
+def test_every_public_name_has_a_caller():
+    """No public name exists only for the tests, apart from the named exceptions."""
+    assert unreferenced_public_names() == UNREACHED_PUBLIC_NAMES
