@@ -34,7 +34,7 @@ def build_dataset(rows) -> dict[float, dict[float, float]]:
     }
 
 
-def select_kappa(blers: dict[float, float], b_max: float = 0.1) -> float:
+def select_kappa(blers: dict[float, float], b_max: float) -> float:
     """Ratio with the lowest mean BLER among those with BLER <= b_max, from
     one SNR's {kappa: bler}.
 
@@ -80,7 +80,7 @@ def bucket_edges(buckets) -> list[tuple[float, float]]:
     return edges
 
 
-def policy_table(dataset: dict[float, dict[float, float]], b_max: float = 0.1) -> PolicyTable:
+def policy_table(dataset: dict[float, dict[float, float]], b_max: float) -> PolicyTable:
     """One chosen ratio per measured SNR. A baseline entry records the best
     compressed BLER, the one that missed the ceiling."""
     entries = []

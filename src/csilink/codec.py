@@ -49,6 +49,10 @@ MODEL_MAGIC = b"CSIM"
 SUPPORTED_LATENT_BITS = (32,)
 
 _HIDDEN = 10
+# Adam's decay rates and denominator offset (Kingma & Ba, ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # Bytes per array of one output-layer row block (4 rows at the desk width),
 # so that a block's four arrays (output, targets, deltas and the sigmoid's
 # numerator) stay in a core's L2 cache between its steps.
@@ -274,7 +278,7 @@ class AdamState:
         return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
+def adam_step(params, grads, state: AdamState, lr) -> AdamState:
     """Bias-corrected Adam update, applied to the parameter arrays in place."""
     for g in grads:
         if not np.isfinite(g).all():
@@ -285,17 +289,17 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
         # p -= lr*m_hat / (sqrt(v_hat) + eps), step by step in two scratch
         # arrays, in the operation order of that expression.
         s1, s2 = np.empty_like(p), np.empty_like(p)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=s1)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=s1)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s1)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=s1)
         s1 *= g
         v += s1
-        np.divide(m, 1.0 - beta1**t, out=s1)
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=s1)
         s1 *= lr
-        np.divide(v, 1.0 - beta2**t, out=s2)
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=s2)
         np.sqrt(s2, out=s2)
-        s2 += eps
+        s2 += ADAM_EPS
         s1 /= s2
         p -= s1
     return state
@@ -427,7 +431,7 @@ class TrainSplit:
     rng: np.random.Generator  # the split's generator, past its permutation
 
 
-def split_dataset(samples, seed=0, val_fraction: float = 0.2) -> TrainSplit:
+def split_dataset(samples, seed, val_fraction: float) -> TrainSplit:
     """Shuffle-split realified CSI vectors into one array and normalize it.
 
     ``samples`` is anything with ``len()`` whose integer index gives one
@@ -464,9 +468,9 @@ def split_dataset(samples, seed=0, val_fraction: float = 0.2) -> TrainSplit:
 def train(
     model: AutoencoderModel,
     split: TrainSplit,
-    epochs: int = 64,
-    batch_size: int = 128,
-    learning_rate: float = 1e-4,
+    epochs: int,
+    batch_size: int,
+    learning_rate: float,
 ) -> tuple[AutoencoderModel, TrainHistory]:
     """Shuffled mini-batch Adam on a split's training rows.
 

@@ -82,7 +82,6 @@ def _is_real(value) -> bool:
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     "float": ("a real number", _is_real),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "tuple[str, ...]": ("a tuple of strings", lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v)),
     "tuple[float, ...]": ("a tuple of real numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v))),
@@ -140,7 +139,6 @@ class ExperimentConfig:
     master_seed: int = 555
     static_kappa: float = 0.5
     adaptive_profile: str | None = None
-    orthogonal_pilots: bool = False
 
     def __post_init__(self):
         """Every check a run depends on, so that a bad config fails when it is
@@ -177,6 +175,8 @@ class ExperimentConfig:
         # Profiles are compared by display name, so 'cdl_c', 'CDL-C' and a
         # path to the same file all name one profile.
         names = [resolve_profile(p).name for p in self.profiles]
+        if len(set(names)) != len(names):
+            raise ValueError(f"profiles must be unique, got {self.profiles}, which name {names}")
         if self.adaptive_profile is not None and resolve_profile(self.adaptive_profile).name not in names:
             raise ValueError(f"adaptive profile {self.adaptive_profile!r} is not one of {names}")
         if not 0.0 <= self.b_max <= 1.0:
@@ -371,12 +371,7 @@ def _user_estimates(
         user_seed = cfg.user_seed(user)
         estimates = []
         for block, (h_true, _) in enumerate(realization.blocks):
-            pilots = pl.generate_pilots(
-                cfg.n_pilot,
-                cfg.n_t,
-                stream_seed(user_seed, _PILOT, profile_idx, block),
-                orthogonal=cfg.orthogonal_pilots,
-            )
+            pilots = pl.generate_pilots(cfg.n_pilot, cfg.n_t, stream_seed(user_seed, _PILOT, profile_idx, block))
             y = pl.observe_pilots(h_true, pilots, noise_var, stream_seed(user_seed, _PILOT_NOISE, profile_idx, block))
             h_est = pl.ls_estimate(pilots, y)
             h_est.data.flags.writeable = False

@@ -59,13 +59,16 @@ class LinkConfig:
     n_r: int
     n_sc: int
     snr_db: float
-    crc_poly: tuple[int, ...] = DEFAULT_CRC_POLY
+    crc_poly = DEFAULT_CRC_POLY  # a class constant, not a field: every link uses one generator
 
     def __post_init__(self):
         if min(self.n_t, self.n_r, self.n_sc) < 1:
             raise ValueError("antenna/subcarrier counts must be positive")
-        # One form of the generator, so configs compare and hash by value.
-        object.__setattr__(self, "crc_poly", tuple(_as_poly_array(self.crc_poly).tolist()))
+        if self.codeword_len < 1:
+            raise ValueError(
+                f"n_sc must be at least {self.crc_degree // self.bits_per_symbol + 1} so that a codeword "
+                f"holds a payload bit beside its degree-{self.crc_degree} CRC, got {self.n_sc}"
+            )
 
     @property
     def n_streams(self) -> int:
@@ -207,7 +210,7 @@ def qam16_detect(symbols) -> np.ndarray:
     return out.view(np.uint8).reshape(-1)
 
 
-def generate_pilots(n_pilot: int, n_t: int, seed, orthogonal: bool = False) -> np.ndarray:
+def generate_pilots(n_pilot: int, n_t: int, seed) -> np.ndarray:
     """Random QPSK pilot matrix (n_pilot, n_t), column norms^2 = n_pilot,
     full column rank with condition number <= 1e3 (resampled otherwise).
 
@@ -221,9 +224,6 @@ def generate_pilots(n_pilot: int, n_t: int, seed, orthogonal: bool = False) -> n
     for _ in range(32):
         quad = rng.integers(0, 4, size=(n_pilot, n_t))
         x = np.exp(1j * (math.pi / 4.0 + math.pi / 2.0 * quad))
-        if orthogonal:
-            q, _ = np.linalg.qr(x)
-            x = q[:, :n_t] * math.sqrt(n_pilot)
         if np.linalg.cond(x) <= 1e3:
             return x
     raise RuntimeError("failed to draw a well-conditioned pilot matrix")

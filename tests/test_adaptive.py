@@ -69,7 +69,7 @@ class TestSelectKappa:
 
     def test_no_compressed_measurement_errors(self):
         with pytest.raises(ad.PolicyError):
-            ad.select_kappa({0.0: 0.0})
+            ad.select_kappa({0.0: 0.0}, b_max=0.1)
 
     def test_unconstrained_via_unit_ceiling(self):
         assert ad.select_kappa({0.1: 0.4, 0.5: 0.6, 0.7: 0.2}, b_max=1.0) == 0.7
@@ -119,7 +119,7 @@ class TestRunAdaptive:
             for n, k in enumerate((ad.NO_COMPRESSION, 0.1, 0.5))
         }
 
-        rows = ad.run_adaptive(ad.policy_table(ds), rhos, 0.1, counts)
+        rows = ad.run_adaptive(ad.policy_table(ds, b_max=0.1), rhos, 0.1, counts)
         assert [r["kappa_star"] for r in rows] == [0.5, 0.5, 0.5]
         for r, rho in zip(rows, rhos):
             for trace, k in (("adaptive", 0.5), ("static", 0.1), ("uncompressed", ad.NO_COMPRESSION)):

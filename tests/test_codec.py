@@ -475,7 +475,7 @@ class TestTrain:
     def test_loss_descends(self):
         data = channel_rows("cdl_e", self.dims, 64)
         model = codec.ae_init(0.5, self.dims, 20)
-        split = codec.split_dataset(data, seed=21)
+        split = codec.split_dataset(data, seed=21, val_fraction=0.2)
         model, hist = codec.train(model, split, epochs=16, batch_size=16, learning_rate=1e-3)
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert len(hist.train_loss) == len(hist.val_loss) == 16
@@ -494,7 +494,7 @@ class TestTrain:
         runs = []
         for _ in range(2):
             model = codec.ae_init(0.5, self.dims, 24)
-            split = codec.split_dataset(data, seed=25)
+            split = codec.split_dataset(data, seed=25, val_fraction=0.2)
             _, hist = codec.train(model, split, epochs=4, batch_size=16, learning_rate=1e-3)
             runs.append(hist)
         assert runs[0].train_loss == runs[1].train_loss
@@ -503,7 +503,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            codec.split_dataset(np.zeros((0, model.input_dim)))
+            codec.split_dataset(np.zeros((0, model.input_dim)), seed=0, val_fraction=0.2)
 
     def test_stats_come_from_the_training_rows(self):
         data = np.arange(40.0).reshape(10, 4)
@@ -534,13 +534,13 @@ class TestTrain:
 
     def test_split_leaving_no_training_rows_rejected(self):
         with pytest.raises(ValueError, match="no training samples"):
-            codec.split_dataset(np.ones((4, 8)), val_fraction=0.9)
+            codec.split_dataset(np.ones((4, 8)), seed=0, val_fraction=0.9)
 
     def test_width_mismatch_rejected(self):
         model = tiny_model()
-        split = codec.split_dataset(np.arange(2.0 * (model.input_dim + 1)).reshape(2, -1), val_fraction=0.0)
+        split = codec.split_dataset(np.arange(2.0 * (model.input_dim + 1)).reshape(2, -1), seed=0, val_fraction=0.0)
         with pytest.raises(ValueError, match="input width"):
-            codec.train(model, split, epochs=1)
+            codec.train(model, split, epochs=1, batch_size=128, learning_rate=1e-4)
 
 
 class TestQuantize:
@@ -572,7 +572,7 @@ class TestCompressDecompress:
     def fitted_model(self, kappa=0.5, seed=30):
         model = codec.ae_init(kappa, self.dims, seed)
         data = channel_rows("cdl_e", self.dims, 32)[:, : model.input_dim]
-        split = codec.split_dataset(data, seed=seed + 1)
+        split = codec.split_dataset(data, seed=seed + 1, val_fraction=0.2)
         model, _ = codec.train(model, split, epochs=4, batch_size=16, learning_rate=1e-3)
         return model
 

@@ -107,6 +107,7 @@ class TestConfig:
             pytest.param(dict(rhos=(10.0, 10.0, 30.0)), "SNR points must be unique", id="duplicate_rhos"),
             pytest.param(dict(n_blocks=0), "fading block", id="no_blocks"),
             pytest.param(dict(profiles=()), "channel profile", id="no_profiles"),
+            pytest.param(dict(profiles=("cdl_c", "CDL-C")), "profiles must be unique", id="repeated_profile"),
             pytest.param(dict(n_pilot=3), "n_pilot >= n_t", id="fewer_pilots_than_tx"),
             pytest.param(dict(rhos=(float("inf"),)), "positive finite", id="infinite_snr"),
             pytest.param(dict(rhos=(float("nan"),)), "positive finite", id="nan_snr"),
@@ -117,6 +118,7 @@ class TestConfig:
             pytest.param(dict(delta_f=0.0), "delta_f", id="zero_subcarrier_spacing"),
             pytest.param(dict(delta_f=float("inf")), "delta_f must be positive and finite", id="infinite_subcarrier_spacing"),
             pytest.param(dict(n_sc=0), "subcarrier counts", id="no_subcarriers"),
+            pytest.param(dict(n_sc=1), "n_sc must be at least 2", id="no_payload_bit_per_codeword"),
             pytest.param(dict(ura_rows=0), "at least one element", id="empty_tx_array"),
             pytest.param(dict(static_kappa=0.9), "static_kappa", id="static_kappa_not_swept"),
             pytest.param(dict(adaptive_profile="CDL-C"), "adaptive profile", id="adaptive_profile_not_swept"),
@@ -140,7 +142,6 @@ class TestConfig:
             pytest.param(dict(n_blocks=2.0), "n_blocks must be an integer", id="float_blocks"),
             pytest.param(dict(n_pilot=64.0), "n_pilot must be an integer", id="float_pilots"),
             pytest.param(dict(train=dict(epochs=2.0)), "epochs must be an integer", id="float_epochs"),
-            pytest.param(dict(orthogonal_pilots="false"), "orthogonal_pilots must be true or false", id="string_bool"),
             pytest.param(dict(rhos=(True, 10.0)), "rhos must be a tuple of real numbers", id="bool_snr"),
             pytest.param(dict(delta_f=True), "delta_f must be a real number", id="bool_spacing"),
             pytest.param(dict(b_max="0.1"), "b_max must be a real number", id="string_bler_ceiling"),
@@ -572,13 +573,6 @@ class TestHeatmap:
         assert original.shape == (cfg.n_sc, cfg.n_t)
         assert recon.shape == (cfg.n_sc, cfg.n_t)
         assert latent.size == codec.latent_dim(0.5, *cfg.dims)
-
-    def test_orthogonal_pilots_change_the_estimate(self, tiny_sweep, tmp_path):
-        cfg, result, _ = tiny_sweep
-        plain = ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path / "plain", sweep=result)
-        ortho_cfg = replace(cfg, orthogonal_pilots=True)
-        ortho = ex.emit_csi_heatmap(ortho_cfg, 0.5, 30.0, 0, tmp_path / "ortho", sweep=result)
-        assert Path(plain["original"]).read_bytes() != Path(ortho["original"]).read_bytes()
 
     def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
         cfg = tiny_config(kappas=(0.5, 0.7))

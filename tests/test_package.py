@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import csilink
+from csilink import expsuite
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -49,3 +51,32 @@ def unreferenced_public_names():
 def test_every_public_name_has_a_caller():
     """No public name exists only for the tests, apart from the named exceptions."""
     assert unreferenced_public_names() == UNREACHED_PUBLIC_NAMES
+
+
+# Functions that read every field by construction: the checks, not a run.
+VALIDATORS = {"__post_init__", "_check_field_types"}
+
+
+def attributes_read_by_runs():
+    """Attribute names that the package loads outside VALIDATORS."""
+
+    def visit(node, read):
+        if isinstance(node, ast.FunctionDef) and node.name in VALIDATORS:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, read)
+
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), read)
+    return read
+
+
+@pytest.mark.parametrize("settings", [expsuite.ExperimentConfig, expsuite.TrainSettings], ids=lambda c: c.__name__)
+def test_every_config_field_has_a_reader(settings):
+    """No config key is accepted and then ignored: each field is read by code
+    other than the validation that reads every field."""
+    unread = {f.name for f in dataclasses.fields(settings)} - attributes_read_by_runs()
+    assert not unread, f"{settings.__name__} fields that no run reads: {sorted(unread)}"
