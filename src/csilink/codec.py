@@ -18,11 +18,14 @@ in row blocks of about 512 KB per array, whose steps stay in cache. Only
 its forward product a4 @ w is blocked; it reduces over the hidden width of
 10, which a row block leaves unchanged. The loss, the bias gradient and
 every product that sums over the batch or the input width run on the full
-batch. A step holds two full-batch arrays: its own copy of the batch, over
-which the squared errors are written block by block, and the output
-deltas. The latent z3 (0.9 of the input width at a ratio of 0.1) is
+batch. A step holds at most two full-batch arrays: its own copy of the
+batch, over which the squared errors are written block by block, and the
+output deltas. The latent z3 (0.9 of the input width at a ratio of 0.1) is
 overwritten after its first reader and recomputed by the same product for
-its weight gradient, and the batch is gathered again for the first layer's.
+its weight gradient. The copy dies after the second layer's delta, and the
+batch is gathered again into the deltas' array for the first layer's weight
+gradient, beside no other full-batch array. Each step's gradients die once
+its Adam update has read them, before the next step's backprop starts.
 Adam and the normalization run in place, in the textbook operation order.
 
 Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
@@ -359,8 +362,10 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
     gathered copy x and the output deltas d5. The latent z3 is computed into
     d5 before the deltas overwrite it. The squared errors are written over
     x's targets; x then takes z3 again, recomputed by the same product, and
-    d3 once z3 is dead. The inputs are gathered again into d5 once d4 has
-    read it.
+    d3 once z3 is dead. x's buffer dies after d2, d3's last reader. The
+    inputs are gathered again into d5 once d4 has read it, so the first
+    layer's weight gradient runs beside that one array. d5 dies on return,
+    and the gradients are fresh arrays the caller owns.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if rows is None:
@@ -401,6 +406,7 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
     gw3 = a2.T @ d3
     gb3 = d3.sum(axis=0)
     d2 = (d3 @ w[2].T) * (z2 > 0)
+    del z3, d3  # the last views of the gathered batch, which dies with x below
     gw2 = a1.T @ d2
     gb2 = d2.sum(axis=0)
     d1 = (d2 @ w[1].T) * (z1 > 0)
@@ -496,6 +502,7 @@ def train(
         for lo in range(0, n_train, batch_size):
             loss, grads = backprop(model, split.train, perm[lo : lo + batch_size])
             adam_step(params, grads, state, learning_rate)
+            del grads  # not held through the next step's backprop
             losses.append(loss)
         train_curve.append(float(np.mean(losses)))
         val_curve.append(_batch_loss(model, split.val) if split.val is not None else float("nan"))

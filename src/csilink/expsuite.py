@@ -478,6 +478,8 @@ def _sweep_group(args):
 def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepResult:
     """Static-ratio sweep over (profile, ratio incl. the uncompressed
     baseline, SNR, user). Fully deterministic given the master seed."""
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads}")
     profiles = [resolve_profile(p) for p in cfg.profiles]
     bundles: dict[tuple[str, float], CodecBundle] = {}
     for pidx, profile in enumerate(profiles):
@@ -569,6 +571,8 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     reconstruction for receive antenna 0, as three CSV files."""
     if kappa not in cfg.kappas:
         raise ValueError(f"kappa {kappa} is not one of the configured ratios")
+    if not 0 <= user < cfg.n_users:
+        raise ValueError(f"user {user} is outside the configured users [0, {cfg.n_users})")
     profile = resolve_profile(cfg.profiles[0])
     if sweep is not None and (profile.name, kappa) in sweep.models:
         model = sweep.models[(profile.name, kappa)]

@@ -1,5 +1,6 @@
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -499,6 +500,23 @@ class TestTrain:
             runs.append(hist)
         assert runs[0].train_loss == runs[1].train_loss
         assert runs[0].val_loss == runs[1].val_loss
+
+    def test_step_gradients_die_before_the_next_backprop(self, monkeypatch):
+        """Each step's gradients are freed once its Adam update has read
+        them, so no step's backprop runs beside the previous step's."""
+        split = codec.split_dataset(channel_rows("cdl_e", self.dims, 32), seed=26, val_fraction=0.0)
+        backprop = codec.backprop
+        previous, alive_at_start = [], []
+
+        def watched(*args):
+            alive_at_start.append(sum(ref() is not None for ref in previous))
+            loss, grads = backprop(*args)
+            previous[:] = [weakref.ref(g) for g in grads]
+            return loss, grads
+
+        monkeypatch.setattr(codec, "backprop", watched)
+        codec.train(codec.ae_init(0.5, self.dims, 20), split, epochs=2, batch_size=8, learning_rate=1e-3)
+        assert alive_at_start == [0] * 8
 
     def test_empty_dataset_rejected(self):
         model = tiny_model()

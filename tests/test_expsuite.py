@@ -272,6 +272,13 @@ class TestRunSweep:
         parallel = ex.run_sweep(cfg, threads=2)
         assert parallel.rows == result.rows
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_non_positive_threads_rejected(self, threads, monkeypatch):
+        trainings = record_calls(monkeypatch, codec, "train")
+        with pytest.raises(ValueError, match="threads"):
+            ex.run_sweep(tiny_config(), threads=threads)
+        assert trainings == []
+
     def test_csv_bytes_match_pin(self, tiny_sweep):
         _, _, out = tiny_sweep
         got = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
@@ -374,12 +381,16 @@ class TestTrainCodecFamily:
     def test_peak_memory_bound(self):
         """The traced peak of a family's training, in units of its raw
         training set. Building and splitting the set hold 1 unit: each sample
-        is synthesized straight into its row of the split. Training holds the
-        split, two full-batch arrays of backprop and the Adam state, about 2.5
-        at the widest latent. Four full-batch arrays per step (the batch, the
-        latent, the squared errors and the deltas) read 2.9; splitting and
-        normalizing again per ratio, with the raw set alive, read 4.0. It
-        counts allocations, not time, so it reads the same in every run."""
+        is synthesized straight into its row of the split. Training peaks in
+        backprop's output layer, at the widest latent, and reads 2.25: the
+        split, backprop's two full-batch arrays (0.25 each) and the layer's
+        row block, the model (0.16) and its Adam state (0.31). Holding the
+        previous step's gradients through backprop, and the batch copy
+        through the first layer's weight gradient, read 2.37; four
+        full-batch arrays per step (the batch, the latent, the squared errors
+        and the deltas) read 2.9; splitting and normalizing again per ratio,
+        with the raw set alive, read 4.0. It counts allocations, not time, so
+        it reads the same in every run."""
         train = ex.TrainSettings(epochs=1, batch_size=64, dataset_size=256)
         cfg = ex.ExperimentConfig(profiles=("cdl_c",), n_sc=32, kappas=(0.1, 0.5, 0.7), static_kappa=0.5, train=train)
         profile = ex.resolve_profile("cdl_c")
@@ -391,7 +402,7 @@ class TestTrainCodecFamily:
         finally:
             tracemalloc.stop()
         set_bytes = train.dataset_size * 2 * cfg.n_sc * cfg.n_r * cfg.n_t * 8
-        assert peak / set_bytes < 2.7
+        assert peak / set_bytes < 2.3
 
 
 class TestRealizations:
@@ -584,6 +595,15 @@ class TestHeatmap:
         for label in ("original", "latent", "reconstructed"):
             assert Path(alone[label]).read_bytes() == Path(swept[label]).read_bytes()
 
+    @pytest.mark.parametrize("user", [-1, 2])
+    def test_user_outside_range_rejected(self, user, tmp_path, monkeypatch):
+        """An index past either end is refused before any training; -1 would
+        otherwise grid user 0 of the run seeded one lower."""
+        trainings = record_calls(monkeypatch, codec, "train")
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            ex.emit_csi_heatmap(tiny_config(), 0.5, 30.0, user, tmp_path)
+        assert trainings == []
+
     def test_unknown_kappa_rejected(self, tiny_sweep, tmp_path):
         cfg, result, _ = tiny_sweep
         with pytest.raises(ValueError):
@@ -642,6 +662,17 @@ class TestCli:
                 "heatmap", "--config", str(cfg_path), "--out", str(tmp_path / "grids"),
                 "--kappa", "0.5", "--rho", "30", "--user", "0", "--threads", "2",
             ])
+
+    def test_heatmap_user_outside_range_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        ex.save_config(tiny_config(), cfg_path)
+        out = tmp_path / "grids"
+        with pytest.raises(ValueError, match=r"user -1 .*\[0, 2\)"):
+            cli.main([
+                "heatmap", "--config", str(cfg_path), "--out", str(out),
+                "--kappa", "0.5", "--rho", "30", "--user", "-1",
+            ])
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["sweep", "adaptive"])
