@@ -49,7 +49,8 @@ from .chanmodel import ChannelTensor
 WIRE_MAGIC = b"CSIC"
 WIRE_VERSION = 1
 MODEL_MAGIC = b"CSIM"
-SUPPORTED_LATENT_BITS = (32,)
+# Bits per latent element on the wire: the latent is float32.
+LATENT_BITS = 32
 
 _HIDDEN = 10
 # Adam's decay rates and denominator offset (Kingma & Ba, ICLR 2015).
@@ -109,13 +110,10 @@ class LatentCsi:
 
     values: np.ndarray
     kappa_index: int
-    bits_per_element: int
     dims: tuple[int, int, int]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float32)
-        if self.bits_per_element not in SUPPORTED_LATENT_BITS:
-            raise ValueError(f"unsupported latent width {self.bits_per_element} bits")
 
 
 def realify(x) -> np.ndarray:
@@ -530,7 +528,6 @@ def compress(model: AutoencoderModel, h: ChannelTensor) -> LatentCsi:
     return LatentCsi(
         values=z.astype(np.float32),
         kappa_index=model.kappa_index,
-        bits_per_element=32,
         dims=model.dims,
     )
 
@@ -561,14 +558,14 @@ _WIRE_HEADER = struct.Struct("<4sBBBIIII")
 
 def serialize(latent: LatentCsi) -> bytes:
     """Wire format: magic 'CSIC', version, kappa index byte, bits-per-element
-    byte, three u32 dims, u32 latent length, then the latent as little-endian
-    IEEE-754 singles."""
+    byte (always LATENT_BITS), three u32 dims, u32 latent length, then the
+    latent as little-endian IEEE-754 singles."""
     n_sc, n_r, n_t = latent.dims
     header = _WIRE_HEADER.pack(
         WIRE_MAGIC,
         WIRE_VERSION,
         latent.kappa_index,
-        latent.bits_per_element,
+        LATENT_BITS,
         n_sc,
         n_r,
         n_t,
@@ -585,7 +582,7 @@ def deserialize(blob: bytes) -> LatentCsi:
         raise WireFormatError(f"bad magic {magic!r}")
     if version != WIRE_VERSION:
         raise WireFormatError(f"unsupported version {version}")
-    if bits not in SUPPORTED_LATENT_BITS:
+    if bits != LATENT_BITS:
         raise WireFormatError(f"unsupported bits-per-element {bits}")
     if min(n_sc, n_r, n_t) == 0:
         raise WireFormatError(f"zero dimension in dims {(n_sc, n_r, n_t)}")
@@ -595,7 +592,7 @@ def deserialize(blob: bytes) -> LatentCsi:
     if len(payload) != 4 * d_real:
         raise WireFormatError(f"payload holds {len(payload)} bytes, expected {4 * d_real}")
     values = np.frombuffer(payload, dtype="<f4").copy()
-    return LatentCsi(values=values, kappa_index=kappa_index, bits_per_element=bits, dims=(n_sc, n_r, n_t))
+    return LatentCsi(values=values, kappa_index=kappa_index, dims=(n_sc, n_r, n_t))
 
 
 def save_model(model: AutoencoderModel, path):

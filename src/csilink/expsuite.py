@@ -583,8 +583,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
     latent = codec.compress(model, h_est)
     h_rec = codec.decompress(model, latent)
 
-    per_rt = math.ceil((1.0 - kappa) * cfg.n_sc)
-    latent_grid = np.abs(latent.values.astype(float)).reshape(per_rt, 2 * cfg.n_r * cfg.n_t)
+    latent_grid = np.abs(latent.values.astype(float)).reshape(-1, 2 * cfg.n_r * cfg.n_t)
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {}

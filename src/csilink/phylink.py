@@ -111,34 +111,21 @@ class LinkResult:
     counts: ErrorCounts
 
 
-def _as_poly_array(poly) -> np.ndarray:
-    p = np.asarray(poly, dtype=np.uint8)
-    if p.ndim != 1 or p.size < 2:
-        raise ValueError("poly must have degree >= 1")
-    if p[0] != 1:
-        raise ValueError("poly must have a leading 1 coefficient")
-    if p[-1] != 1:
-        raise ValueError("poly must have a constant term of 1")
-    if np.any(p > 1):
-        raise ValueError("poly coefficients must be 0 or 1")
-    return p
-
-
 # float32 holds every integer below 2^24 exactly, so a CRC product over
 # shorter rows is exact.
 _CRC_MAX_BITS = 1 << 24
 
 
 @functools.lru_cache(maxsize=16)
-def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
+def _crc_matrix(n_bits: int) -> np.ndarray:
     """The CRC of an n_bits message as a linear map over GF(2): row j is
-    x^(n_bits-1-j+deg) mod poly, MSB first, so a message's remainder is the
-    mod-2 sum of the rows its set bits select (Sarwate, CACM 1988). Built
-    with a Python-int shift register in O(n_bits*deg) memory; cached and
-    read-only. Stored as float32: the products are exact while n_bits is
-    below ``_CRC_MAX_BITS``."""
-    deg = len(poly) - 1
-    g = int("".join(map(str, poly)), 2)
+    x^(n_bits-1-j+6) mod DEFAULT_CRC_POLY, MSB first, so a message's
+    remainder is the mod-2 sum of the rows its set bits select (Sarwate,
+    CACM 1988). Built with a Python-int shift register in O(n_bits*6)
+    memory; cached and read-only. Stored as float32: the products are exact
+    while n_bits is below ``_CRC_MAX_BITS``."""
+    deg = len(DEFAULT_CRC_POLY) - 1
+    g = int("".join(map(str, DEFAULT_CRC_POLY)), 2)
     term = 1 << deg  # x^deg, the remainder of the last message bit
     rows = []
     for _ in range(n_bits):
@@ -152,31 +139,31 @@ def _crc_matrix(n_bits: int, poly: tuple[int, ...]) -> np.ndarray:
     return m
 
 
-def crc_remainder_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
-    """CRC remainders of message rows (each row times x^degree, mod poly).
+def crc_remainder_many(bit_rows: np.ndarray) -> np.ndarray:
+    """CRC remainders of message rows (each row times x^6, mod
+    DEFAULT_CRC_POLY).
 
     One float32 matrix product over all rows with the cached map of
     _crc_matrix. Every partial sum is an integer <= n_bits, and float32 is
     exact below 2^24, so the product is exact in any summation order; rows
     of 2^24 bits or more raise ValueError before any matrix is built.
     """
-    p = _as_poly_array(poly)
     rows = np.atleast_2d(np.asarray(bit_rows, dtype=np.uint8))
     if rows.shape[1] == 0:
         raise ValueError("messages must be non-empty")
     if rows.shape[1] >= _CRC_MAX_BITS:
         raise ValueError(f"messages must be shorter than {_CRC_MAX_BITS} bits")
-    m = _crc_matrix(rows.shape[1], tuple(int(c) for c in p))
+    m = _crc_matrix(rows.shape[1])
     return (rows.astype(np.float32) @ m % 2).astype(np.uint8)
 
 
-def crc_check_many(bit_rows: np.ndarray, poly=DEFAULT_CRC_POLY) -> np.ndarray:
+def crc_check_many(bit_rows: np.ndarray) -> np.ndarray:
     """Vectorized divisibility check over codeword rows (message + CRC bits).
 
-    Uses the shifted division of crc_remainder_many; since _as_poly_array
-    requires a nonzero constant term, (block * x^deg) mod poly is zero
-    exactly when block mod poly is."""
-    rem = crc_remainder_many(bit_rows, poly)
+    Uses the shifted division of crc_remainder_many; since DEFAULT_CRC_POLY
+    has a constant term of 1, (block * x^6) mod DEFAULT_CRC_POLY is zero
+    exactly when block mod DEFAULT_CRC_POLY is."""
+    rem = crc_remainder_many(bit_rows)
     if np.shape(bit_rows)[-1] < rem.shape[1]:
         raise ValueError("received blocks shorter than the CRC")
     return ~rem.any(axis=1)
@@ -231,16 +218,13 @@ def generate_pilots(n_pilot: int, n_t: int, seed) -> np.ndarray:
 
 def observe_pilots(h: ChannelTensor, x_pilot: np.ndarray, noise_var: float, seed) -> np.ndarray:
     """Received pilots (n_sc, n_pilot, n_r) for the pilot matrix x_pilot
-    (n_pilot, n_t), per subcarrier Y_k = X @ H_k^T + N_k."""
+    (n_pilot, n_t), per subcarrier Y_k = X @ H_k^T + N_k. A noise_var of 0
+    adds exact zeros; a negative one raises ValueError."""
     rng = np.random.default_rng(seed)
     clean = np.einsum("pt,krt->kpr", x_pilot, h.data)
-    if noise_var > 0:
-        shape = clean.shape
-        noise = math.sqrt(noise_var / 2.0) * (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        )
-        clean = clean + noise
-    return clean
+    shape = clean.shape
+    noise = math.sqrt(noise_var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return clean + noise
 
 
 def ls_estimate(x_pilot: np.ndarray, y_pilot: np.ndarray) -> ChannelTensor:
@@ -387,7 +371,7 @@ def transmit_block(payload, cfg: LinkConfig, seed) -> TxBlock:
     neither the channel nor the SNR."""
     tx_cw = frame_codewords(payload, cfg)
     n_periods = tx_cw.shape[0] // cfg.n_streams
-    coded = np.concatenate([tx_cw, crc_remainder_many(tx_cw, cfg.crc_poly)], axis=1)
+    coded = np.concatenate([tx_cw, crc_remainder_many(tx_cw)], axis=1)
 
     # Codeword (period p, stream s) occupies stream s across all subcarriers
     # of OFDM symbol period p: 4*n_sc coded bits per codeword.
@@ -445,7 +429,7 @@ def run_link_once(tx: TxBlock, h_true: ChannelTensor, h_recon: ChannelTensor, cf
 
     rx_bits = qam16_detect(z.transpose(2, 1, 0).reshape(-1))
     rx_rows = rx_bits.reshape(n_cw, l_cw + cfg.crc_degree)
-    crc_ok = crc_check_many(rx_rows, cfg.crc_poly)
+    crc_ok = crc_check_many(rx_rows)
     rx_payload = rx_rows[:, :l_cw]
 
     counts = ErrorCounts(

@@ -99,7 +99,7 @@ class TestCriterion1Oracles:
 
         rng = np.random.default_rng(103)
         blocks = rng.integers(0, 2, size=(1000, 64), dtype=np.uint8)
-        mine = pl.crc_remainder_many(blocks, pl.DEFAULT_CRC_POLY)
+        mine = pl.crc_remainder_many(blocks)
         exact = all(
             list(rem) == long_division(row, pl.DEFAULT_CRC_POLY)
             for row, rem in zip(blocks, mine)
@@ -302,7 +302,6 @@ class TestCriterion7DimensioningAndWire:
             latent = codec.LatentCsi(
                 values=(rng.normal(size=d) * rng.choice([1e-3, 1.0, 100.0])).astype(np.float32),
                 kappa_index=int(rng.integers(0, 256)),
-                bits_per_element=32,
                 dims=(int(rng.integers(1, 2**16)), int(rng.integers(1, 64)), int(rng.integers(1, 64))),
             )
             back = codec.deserialize(codec.serialize(latent))

@@ -633,43 +633,46 @@ class TestWireFormat:
             latent = codec.LatentCsi(
                 values=codec.quantize(rng.normal(size=d)).astype(np.float32),
                 kappa_index=int(rng.integers(0, 4)),
-                bits_per_element=32,
                 dims=(int(rng.integers(1, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 5))),
             )
             back = self.roundtrip(latent)
             assert np.array_equal(back.values, latent.values)
             assert back.kappa_index == latent.kappa_index
             assert back.dims == latent.dims
-            assert back.bits_per_element == 32
 
     def test_payload_bit_count(self):
-        latent = codec.LatentCsi(np.zeros(8192, dtype=np.float32), 0, 32, (128, 4, 16))
+        latent = codec.LatentCsi(np.zeros(8192, dtype=np.float32), 0, (128, 4, 16))
         blob = codec.serialize(latent)
         header = 4 + 1 + 1 + 1 + 4 * 4
         assert (len(blob) - header) * 8 == 32 * 8192
 
     def test_truncated_stream_rejected(self):
-        latent = codec.LatentCsi(np.ones(16, dtype=np.float32), 0, 32, (4, 2, 2))
+        latent = codec.LatentCsi(np.ones(16, dtype=np.float32), 0, (4, 2, 2))
         blob = codec.serialize(latent)
         with pytest.raises(codec.WireFormatError):
             codec.deserialize(blob[:-3])
 
     @pytest.mark.parametrize("dims", [(0, 2, 2), (4, 0, 2), (4, 2, 0)])
     def test_zero_dimension_rejected(self, dims):
-        latent = codec.LatentCsi(np.ones(8, dtype=np.float32), 0, 32, dims)
+        latent = codec.LatentCsi(np.ones(8, dtype=np.float32), 0, dims)
         with pytest.raises(codec.WireFormatError, match="zero dimension"):
             codec.deserialize(codec.serialize(latent))
 
     def test_empty_latent_rejected(self):
-        latent = codec.LatentCsi(np.zeros(0, dtype=np.float32), 0, 32, (4, 2, 2))
+        latent = codec.LatentCsi(np.zeros(0, dtype=np.float32), 0, (4, 2, 2))
         with pytest.raises(codec.WireFormatError, match="empty latent"):
             codec.deserialize(codec.serialize(latent))
 
-    def test_bad_magic_rejected(self):
-        latent = codec.LatentCsi(np.ones(4, dtype=np.float32), 0, 32, (1, 2, 2))
+    @pytest.mark.parametrize(
+        "offset, match",
+        [(0, "bad magic"), (4, "unsupported version"), (6, "unsupported bits-per-element")],
+        ids=["magic", "version", "bits"],
+    )
+    def test_bad_header_byte_rejected(self, offset, match):
+        latent = codec.LatentCsi(np.ones(4, dtype=np.float32), 0, (1, 2, 2))
         blob = bytearray(codec.serialize(latent))
-        blob[0] = 0x58
-        with pytest.raises(codec.WireFormatError):
+        blob[offset] = 0x58
+        with pytest.raises(codec.WireFormatError, match=match):
             codec.deserialize(bytes(blob))
 
 

@@ -583,7 +583,8 @@ class TestHeatmap:
         latent = np.loadtxt(paths["latent"], delimiter=",")
         assert original.shape == (cfg.n_sc, cfg.n_t)
         assert recon.shape == (cfg.n_sc, cfg.n_t)
-        assert latent.size == codec.latent_dim(0.5, *cfg.dims)
+        width = 2 * cfg.n_r * cfg.n_t
+        assert latent.shape == (codec.latent_dim(0.5, *cfg.dims) // width, width)
 
     def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
         cfg = tiny_config(kappas=(0.5, 0.7))

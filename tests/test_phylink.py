@@ -28,11 +28,11 @@ def crc_long_division(msg, poly=POLY):
 
 def with_crc(msg):
     """A message followed by its CRC remainder, through the batch function."""
-    return np.concatenate([msg, pl.crc_remainder_many(msg[None, :], POLY)[0]])
+    return np.concatenate([msg, pl.crc_remainder_many(msg[None, :])[0]])
 
 
 def crc_ok(codeword) -> bool:
-    return bool(pl.crc_check_many(codeword[None, :], POLY)[0])
+    return bool(pl.crc_check_many(codeword[None, :])[0])
 
 
 class TestCrc:
@@ -63,14 +63,14 @@ class TestCrc:
     def test_oracle_agreement_on_random_blocks(self):
         rng = np.random.default_rng(5)
         blocks = rng.integers(0, 2, size=(1000, 64), dtype=np.uint8)
-        mine = pl.crc_remainder_many(blocks, POLY)
+        mine = pl.crc_remainder_many(blocks)
         for row, rem in zip(blocks, mine):
             assert list(rem) == crc_long_division(row)
 
     def test_check_many_matches_scalar_check(self):
         rng = np.random.default_rng(6)
         rows = rng.integers(0, 2, size=(200, 40), dtype=np.uint8)
-        many = pl.crc_check_many(rows, POLY)
+        many = pl.crc_check_many(rows)
         for row, flag in zip(rows, many):
             assert flag == crc_ok(row)
 
@@ -96,7 +96,7 @@ class TestCrcProperties:
     @example(np.ones((2, 506), dtype=np.uint8))
     @example(np.eye(2, 512, k=511, dtype=np.uint8))
     def test_remainders_match_long_division(self, rows):
-        rem = pl.crc_remainder_many(rows, POLY)
+        rem = pl.crc_remainder_many(rows)
         assert rem.dtype == np.uint8 and rem.shape == (rows.shape[0], 6)
         for row, r in zip(rows, rem):
             assert list(r) == crc_long_division(row)
@@ -109,28 +109,22 @@ class TestCrcProperties:
     def test_every_single_bit_flip_detected(self, msg):
         coded = with_crc(msg)
         flipped = coded[None, :] ^ np.eye(coded.size, dtype=np.uint8)
-        assert not pl.crc_check_many(flipped, POLY).any()
+        assert not pl.crc_check_many(flipped).any()
 
     @given(bit_rows(max_len=600))
     def test_result_is_a_fresh_array(self, rows):
-        first = pl.crc_remainder_many(rows, POLY)
+        first = pl.crc_remainder_many(rows)
         first ^= 1
-        second = pl.crc_remainder_many(rows, POLY)
+        second = pl.crc_remainder_many(rows)
         assert [list(r) for r in second] == [crc_long_division(row) for row in rows]
 
-    def test_non_binary_poly_rejected(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            pl.crc_remainder_many(np.ones((1, 8), dtype=np.uint8), (1, 2, 1))
-
-    def test_poly_without_constant_term_rejected(self):
-        # Without the x^0 term, "remainder zero" no longer means "divisible":
-        # (1, 0) would pass every block.
-        rows = np.random.default_rng(5).integers(0, 2, size=(200, 12), dtype=np.uint8)
-        for poly in ((1, 0), (1, 0, 0, 1, 0)):
-            with pytest.raises(ValueError, match="constant term"):
-                pl.crc_check_many(rows, poly)
-            with pytest.raises(ValueError, match="constant term"):
-                pl.crc_remainder_many(rows, poly)
+    def test_generator_is_binary_with_unit_ends(self):
+        """crc_check_many's shifted division needs the constant term: without
+        it, "remainder of block * x^6 is zero" no longer means "divisible"."""
+        poly = pl.DEFAULT_CRC_POLY
+        assert set(poly) <= {0, 1}
+        assert len(poly) - 1 == 6
+        assert poly[0] == 1 and poly[-1] == 1
 
     def test_rows_too_long_for_float32_rejected(self, monkeypatch):
         """The float32 product is exact only below 2^24, so a longer row is
@@ -141,15 +135,7 @@ class TestCrcProperties:
 
         monkeypatch.setattr(pl, "_crc_matrix", unreachable)
         with pytest.raises(ValueError, match="shorter than"):
-            pl.crc_remainder_many(np.zeros((1, 1 << 24), dtype=np.uint8), POLY)
-
-    @pytest.mark.parametrize(
-        "poly, message",
-        [((1, 0), "constant term"), ((1, 2, 1), "0 or 1"), ((0, 1), "leading 1"), ((1,), "degree")],
-    )
-    def test_malformed_poly_rejected(self, poly, message):
-        with pytest.raises(ValueError, match=message):
-            pl.crc_remainder_many(np.ones((1, 8), dtype=np.uint8), poly)
+            pl.crc_remainder_many(np.zeros((1, 1 << 24), dtype=np.uint8))
 
 
 class TestQam16:
@@ -253,6 +239,13 @@ class TestPilots:
 def random_channel(rng, n_sc, n_r, n_t):
     data = rng.normal(size=(n_sc, n_r, n_t)) + 1j * rng.normal(size=(n_sc, n_r, n_t))
     return cm.ChannelTensor(data / math.sqrt(2))
+
+
+class TestObservePilots:
+    def test_negative_noise_var_rejected(self):
+        h = random_channel(np.random.default_rng(14), 4, 3, 4)
+        with pytest.raises(ValueError):
+            pl.observe_pilots(h, pl.generate_pilots(8, 4, 0), noise_var=-0.1, seed=0)
 
 
 class TestLsEstimate:
@@ -701,7 +694,7 @@ def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
     tx_cw = pl.frame_codewords(payload, cfg)
     n_cw, l_cw = tx_cw.shape
     n_periods = n_cw // cfg.n_streams
-    coded = np.concatenate([tx_cw, pl.crc_remainder_many(tx_cw, cfg.crc_poly)], axis=1)
+    coded = np.concatenate([tx_cw, pl.crc_remainder_many(tx_cw)], axis=1)
     symbols = pl.qam16_modulate(coded.reshape(-1)).reshape(n_periods, cfg.n_streams, cfg.n_sc)
     s_grid = symbols.transpose(2, 1, 0)
 
@@ -720,7 +713,7 @@ def einsum_link_counts(payload, h_true, h_recon, cfg, seed):
     z = z / np.where(gain > 1e-12, gain, 1.0)[:, :, None]
 
     rx_rows = pl.qam16_detect(z.transpose(2, 1, 0).reshape(-1)).reshape(n_cw, l_cw + cfg.crc_degree)
-    crc_ok = pl.crc_check_many(rx_rows, cfg.crc_poly)
+    crc_ok = pl.crc_check_many(rx_rows)
     return ErrorCounts(
         bit_errors=int(np.sum(rx_rows[:, :l_cw] != tx_cw)),
         bits_total=tx_cw.size,
