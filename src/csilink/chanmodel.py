@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,7 +62,6 @@ class Cluster:
 class CdlProfile:
     name: str
     clusters: tuple[Cluster, ...]
-    los: bool
 
     def __post_init__(self):
         if not self.clusters:
@@ -110,45 +110,57 @@ class ChannelTensor:
             raise ValueError("channel tensor contains non-finite entries")
 
     @property
-    def n_sc(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_r(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_t(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
 
+def _is_real(value) -> bool:
+    """A number a JSON file may give: true is an int in Python, not 1 dB."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_keys(where: str, record, required, optional=()) -> None:
+    """Reject a record that is not an object, lacks a required key or holds a
+    key that no run reads, naming the record and the key."""
+    if not isinstance(record, dict):
+        raise ProfileSchemaError(f"{where} must be a JSON object, got {record!r}")
+    for key in required:
+        if key not in record:
+            raise ProfileSchemaError(f"{where}: missing field '{key}'")
+    unknown = set(record) - set(required) - set(optional)
+    if unknown:
+        raise ProfileSchemaError(f"{where}: unknown fields {sorted(unknown)}")
+
+
 def load_cdl_profile(path) -> CdlProfile:
     """Load a cluster profile file, converting dB powers to normalized linear
-    gains and degree angles to radians. Cluster order is preserved."""
+    gains and degree angles to radians. Cluster order is preserved. A key
+    other than name, clusters, comment and the six cluster fields fails."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProfileSchemaError(f"profile {path}: not valid JSON ({exc})") from exc
 
-    for field in ("name", "los", "clusters"):
-        if field not in raw:
-            raise ProfileSchemaError(f"profile {path}: missing field '{field}'")
+    _check_keys(f"profile {path}", raw, ("name", "clusters"), ("comment",))
+    # The name is part of the file names a run writes.
+    if not isinstance(raw["name"], str) or "/" in raw["name"] or "\0" in raw["name"]:
+        raise ProfileSchemaError(f"profile {path}: 'name' must be a string without '/' or NUL, got {raw['name']!r}")
     if not isinstance(raw["clusters"], list) or not raw["clusters"]:
         raise ProfileSchemaError(f"profile {path}: 'clusters' must be a non-empty list")
 
     gains = []
     for i, rec in enumerate(raw["clusters"]):
+        _check_keys(f"profile {path}: cluster {i}", rec, _CLUSTER_FIELDS)
         for field in _CLUSTER_FIELDS:
-            if field not in rec:
-                raise ProfileSchemaError(f"profile {path}: cluster {i}: missing field '{field}'")
-            if not isinstance(rec[field], (int, float)):
-                raise ProfileSchemaError(f"profile {path}: cluster {i}: field '{field}' must be a number")
-        gains.append(10.0 ** (float(rec["power_db"]) / 10.0))
+            if not (_is_real(rec[field]) and math.isfinite(rec[field])):
+                raise ProfileSchemaError(
+                    f"profile {path}: cluster {i}: field '{field}' must be a finite number, got {rec[field]!r}"
+                )
+        try:
+            gains.append(10.0 ** (float(rec["power_db"]) / 10.0))
+        except OverflowError:
+            raise ProfileSchemaError(f"profile {path}: cluster {i}: field 'power_db' overflows, got {rec['power_db']!r}") from None
 
     total = sum(gains)
     clusters = tuple(
@@ -162,7 +174,7 @@ def load_cdl_profile(path) -> CdlProfile:
         )
         for rec, g in zip(raw["clusters"], gains)
     )
-    return CdlProfile(name=str(raw["name"]), clusters=clusters, los=bool(raw["los"]))
+    return CdlProfile(name=raw["name"], clusters=clusters)
 
 
 def shipped_profile_path(name: str):
@@ -199,11 +211,15 @@ def _cluster_terms(profile: CdlProfile, tx: UraGeometry, n_r: int, n_sc: int, de
     """The seed-free factors of a realization: cluster amplitudes, delay
     phasors over the subcarriers, rx steering and conjugated tx steering.
     Cached and read-only, because every realization of a link shares them;
-    a call that raises is not cached, so both draws check their arguments."""
+    a call that raises is not cached, so every draw checks its arguments."""
     if n_r < 1 or n_sc < 1:
         raise ValueError("n_r and n_sc must be >= 1")
     if delta_f <= 0:
         raise ValueError("delta_f must be positive")
+    # The delay phase's products in their order below, with n_sc >= every k:
+    # if the phase can overflow there, this product does.
+    if not math.isfinite(TWO_PI * max(c.delay_s for c in profile.clusters) * n_sc * delta_f):
+        raise ValueError(f"profile {profile.name}: the delay phase overflows at n_sc {n_sc} and delta_f {delta_f}")
     a_rx = np.stack([ula_steering(n_r, c.aoa_az, c.aoa_zen) for c in profile.clusters])
     a_tx_conj = np.stack([steering_vector(tx, c.aod_az, c.aod_zen) for c in profile.clusters]).conj()
     delays = np.array([c.delay_s for c in profile.clusters])
@@ -228,25 +244,6 @@ def _complex_product(a, b) -> np.ndarray:
     return out
 
 
-def _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, n_blocks) -> list[ChannelTensor]:
-    """The draw path of both public draws. Each calls it directly, so a
-    wrapper on one module attribute does not see the other's calls."""
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, TWO_PI, (n_blocks, profile.n_clusters))
-    amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
-    blocks = []
-    for block_phases in phases:
-        gains = amp * np.exp(1j * block_phases)
-        # The (cluster, subcarrier, rx) factor once, not once per tx antenna;
-        # its products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
-        factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
-        h = np.einsum("ct,ckr->tkr", a_tx_conj, factor)
-        blocks.append(ChannelTensor(np.ascontiguousarray(h.transpose(1, 2, 0))))
-    return blocks
-
-
 def synthesize_csi(
     profile: CdlProfile,
     tx: UraGeometry,
@@ -257,7 +254,7 @@ def synthesize_csi(
 ) -> ChannelTensor:
     """One block-fading CSI realization: block 0 of draw_block_fading for the
     same seed."""
-    return _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, 1)[0]
+    return draw_block_fading(profile, tx, n_r, n_sc, delta_f, seed, 1)[0]
 
 
 def draw_block_fading(
@@ -272,4 +269,17 @@ def draw_block_fading(
     """Independent realizations, one per coherence block: sums of per-cluster
     rank-one rays with seeded i.i.d. uniform phases. Every block is
     deterministic in (seed, block index)."""
-    return _draw_blocks(profile, tx, n_r, n_sc, delta_f, seed, n_blocks)
+    if n_blocks < 1:
+        raise ValueError("n_blocks must be >= 1")
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, TWO_PI, (n_blocks, profile.n_clusters))
+    amp, freq, a_rx, a_tx_conj = _cluster_terms(profile, tx, n_r, n_sc, delta_f)
+    blocks = []
+    for block_phases in phases:
+        gains = amp * np.exp(1j * block_phases)
+        # The (cluster, subcarrier, rx) factor once, not once per tx antenna;
+        # its products are those of einsum("c,ck,cr,ct->krt", ...), bit for bit.
+        factor = _complex_product(_complex_product(gains[:, None], freq)[:, :, None], a_rx[:, None, :])
+        h = np.einsum("ct,ckr->tkr", a_tx_conj, factor)
+        blocks.append(ChannelTensor(np.ascontiguousarray(h.transpose(1, 2, 0))))
+    return blocks

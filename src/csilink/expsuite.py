@@ -72,19 +72,15 @@ def stream_seed(*parts) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(p) & MASK64 for p in parts])
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 # What each declared field type accepts. JSON spells 2e5 and 2.0 as floats,
 # a quoted "false" is a truthy string, and true passes as 1 in arithmetic:
 # unchecked, each would mislead a run or fail deep in a sweep.
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a real number", _is_real),
+    "float": ("a real number", cm._is_real),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "tuple[str, ...]": ("a tuple of strings", lambda v: isinstance(v, tuple) and all(isinstance(x, str) for x in v)),
-    "tuple[float, ...]": ("a tuple of real numbers", lambda v: isinstance(v, tuple) and all(map(_is_real, v))),
+    "tuple[float, ...]": ("a tuple of real numbers", lambda v: isinstance(v, tuple) and all(map(cm._is_real, v))),
     "TrainSettings": ("a train block", lambda v: isinstance(v, TrainSettings)),
 }
 
@@ -144,7 +140,8 @@ class ExperimentConfig:
         """Every check a run depends on, so that a bad config fails when it is
         built or loaded rather than after codec training. Where a library
         object owns a rule (the array geometry, the link dimensions and SNR,
-        the profile files), the check builds that object."""
+        the profile files and their cluster terms), the check builds that
+        object."""
         _check_field_types(self)
         if not self.profiles:
             raise ValueError("need at least one channel profile")
@@ -174,7 +171,10 @@ class ExperimentConfig:
             raise ValueError("static_kappa must be one of the swept ratios")
         # Profiles are compared by display name, so 'cdl_c', 'CDL-C' and a
         # path to the same file all name one profile.
-        names = [resolve_profile(p).name for p in self.profiles]
+        profiles = [resolve_profile(p) for p in self.profiles]
+        for profile in profiles:
+            cm._cluster_terms(profile, self.ura, self.n_r, self.n_sc, self.delta_f)
+        names = [p.name for p in profiles]
         if len(set(names)) != len(names):
             raise ValueError(f"profiles must be unique, got {self.profiles}, which name {names}")
         if self.adaptive_profile is not None and resolve_profile(self.adaptive_profile).name not in names:
@@ -186,7 +186,7 @@ class ExperimentConfig:
 
     @property
     def n_t(self) -> int:
-        return self.ura_rows * self.ura_cols
+        return self.ura.n_elements
 
     @property
     def ura(self) -> cm.UraGeometry:
@@ -497,18 +497,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
             results = list(pool.map(_sweep_group, groups))
     else:
         results = [_sweep_group(g) for g in groups]
-    rows = [row for group_rows, _ in results for row in group_rows]
-    timing = [group_timing for _, group_timing in results]
-    histories = {key: bundle.history for key, bundle in bundles.items()}
-    models = {key: bundle.model for key, bundle in bundles.items()}
+    result = SweepResult(
+        rows=[row for group_rows, _ in results for row in group_rows],
+        timing=[group_timing for _, group_timing in results],
+        histories={key: bundle.history for key, bundle in bundles.items()},
+        models={key: bundle.model for key, bundle in bundles.items()},
+    )
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, rows)
-        write_csv(os.path.join(out_dir, "sweep_timing.csv"), TIMING_COLUMNS, timing)
-        for (name, kappa), history in histories.items():
+        write_csv(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, result.rows)
+        write_csv(os.path.join(out_dir, "sweep_timing.csv"), TIMING_COLUMNS, result.timing)
+        for (name, kappa), history in result.histories.items():
             emit_history(history, os.path.join(out_dir, f"history_{name}_{kappa}.csv"))
-    return SweepResult(rows=rows, timing=timing, histories=histories, models=models)
+    return result
 
 
 def _format_cell(value) -> str:

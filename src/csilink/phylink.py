@@ -49,6 +49,7 @@ DEFAULT_CRC_POLY = (1, 0, 1, 0, 0, 1, 1)
 TOTAL_POWER = 1.0
 
 QAM16_SCALE = 1.0 / math.sqrt(10.0)
+BITS_PER_SYMBOL = 4
 # Axis level for the bit pair index 2*b0 + b1 under the Gray map above.
 _GRAY_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0])
 
@@ -66,7 +67,7 @@ class LinkConfig:
             raise ValueError("antenna/subcarrier counts must be positive")
         if self.codeword_len < 1:
             raise ValueError(
-                f"n_sc must be at least {self.crc_degree // self.bits_per_symbol + 1} so that a codeword "
+                f"n_sc must be at least {self.crc_degree // BITS_PER_SYMBOL + 1} so that a codeword "
                 f"holds a payload bit beside its degree-{self.crc_degree} CRC, got {self.n_sc}"
             )
 
@@ -75,17 +76,13 @@ class LinkConfig:
         return min(self.n_t, self.n_r)
 
     @property
-    def bits_per_symbol(self) -> int:
-        return 4
-
-    @property
     def crc_degree(self) -> int:
         return len(self.crc_poly) - 1
 
     @property
     def codeword_len(self) -> int:
         """Payload bits per codeword: one codeword per (stream, OFDM symbol)."""
-        return self.bits_per_symbol * self.n_sc - self.crc_degree
+        return BITS_PER_SYMBOL * self.n_sc - self.crc_degree
 
     @property
     def subcarrier_power(self) -> float:

@@ -345,8 +345,8 @@ class TestDeskScaleExamples:
         strict=True,
         reason="unattainable at desk scale: in the one-ray-per-cluster LOS channel the "
         "magnitude grid is flat up to weak interference ripples, and the width-10 codec "
-        "cannot reconstruct the ripple detail (measured Pearson ~ -0.5 at the training "
-        "ceiling); see the heatmap shape checks in test_expsuite for the format contract",
+        "cannot reconstruct the ripple detail (measured Pearson 0.083 at kappa 0.5, "
+        "30 dB, user 0); see the heatmap shape checks in test_expsuite for the format contract",
     )
     def test_heatmap_reconstruction_correlates(self, desk, tmp_path):
         cfg, sweep, _ = desk

@@ -7,20 +7,23 @@ import pytest
 from csilink import chanmodel as cm
 
 
-def make_profile(specs, los=False, name="synthetic"):
+def make_profile(specs, name="synthetic"):
     """Clusters from (delay_s, linear_power, aod_az, aod_zen, aoa_az, aoa_zen);
     powers are normalized here so tests can speak in linear ratios."""
     total = sum(s[1] for s in specs)
     clusters = tuple(
         cm.Cluster(s[0], s[1] / total, s[2], s[3], s[4], s[5]) for s in specs
     )
-    return cm.CdlProfile(name=name, clusters=clusters, los=los)
+    return cm.CdlProfile(name=name, clusters=clusters)
 
 
-def write_profile(tmp_path, clusters, name="test", los=False):
+def write_profile(tmp_path, clusters, name="test", **keys):
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps({"name": name, "los": los, "clusters": clusters}))
+    path.write_text(json.dumps({"name": name, "clusters": clusters, **keys}))
     return path
+
+
+CLUSTER = dict(delay_s=0.0, power_db=0.0, aod_az_deg=0, aod_zen_deg=90, aoa_az_deg=0, aoa_zen_deg=90)
 
 
 class TestLoadProfile:
@@ -52,12 +55,10 @@ class TestLoadProfile:
         profile = cm.load_cdl_profile(cm.shipped_profile_path("cdl_c"))
         assert profile.name == "CDL-C"
         assert profile.n_clusters == 24
-        assert not profile.los
         assert sum(c.power for c in profile.clusters) == pytest.approx(1.0, abs=1e-12)
 
     def test_shipped_cdl_e_is_los(self):
         profile = cm.load_cdl_profile(cm.shipped_profile_path("cdl_e"))
-        assert profile.los
         assert sum(c.power for c in profile.clusters) == pytest.approx(1.0, abs=1e-12)
 
     def test_missing_field_names_offender(self, tmp_path):
@@ -83,6 +84,45 @@ class TestLoadProfile:
         )
         profile = cm.load_cdl_profile(path)
         assert [c.delay_s for c in profile.clusters] == [5e-9, 1e-9]
+
+    # Each key of a profile file is read by a run or rejected at load, and
+    # each cluster value is a finite JSON number.
+    def test_comment_is_accepted(self, tmp_path):
+        path = write_profile(tmp_path, [CLUSTER], comment="for readers")
+        assert cm.load_cdl_profile(path).name == "test"
+
+    @pytest.mark.parametrize("key", ["los", "delay_spread_s"])
+    def test_unread_top_level_key_is_rejected(self, tmp_path, key):
+        path = write_profile(tmp_path, [CLUSTER], **{key: True})
+        with pytest.raises(cm.ProfileSchemaError, match=key):
+            cm.load_cdl_profile(path)
+
+    def test_unread_cluster_key_is_rejected(self, tmp_path):
+        path = write_profile(tmp_path, [{**CLUSTER, "xpr_db": 8.0}])
+        with pytest.raises(cm.ProfileSchemaError, match="cluster 0: unknown fields.*xpr_db"):
+            cm.load_cdl_profile(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("power_db", True), ("aod_az_deg", math.inf), ("aoa_zen_deg", -math.inf), ("aod_zen_deg", math.nan),
+         ("power_db", 4000.0)],
+        ids=["bool-power", "inf-angle", "minus-inf-angle", "nan-angle", "overflowing-power"],
+    )
+    def test_cluster_value_must_be_a_finite_number(self, tmp_path, field, value):
+        path = write_profile(tmp_path, [CLUSTER, {**CLUSTER, field: value}])
+        with pytest.raises(cm.ProfileSchemaError, match=f"cluster 1: field '{field}'"):
+            cm.load_cdl_profile(path)
+
+    @pytest.mark.parametrize("name", [5, "a/b", "a\0b"])
+    def test_name_must_be_a_file_name_string(self, tmp_path, name):
+        path = write_profile(tmp_path, [CLUSTER], name=name)
+        with pytest.raises(cm.ProfileSchemaError, match="'name' must be a string"):
+            cm.load_cdl_profile(path)
+
+    def test_cluster_must_be_an_object(self, tmp_path):
+        path = write_profile(tmp_path, [CLUSTER, 5])
+        with pytest.raises(cm.ProfileSchemaError, match="cluster 1 must be a JSON object"):
+            cm.load_cdl_profile(path)
 
 
 class TestSteeringVector:

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from csilink import chanmodel as cm
 from csilink import cli
@@ -53,6 +56,13 @@ def record_calls(monkeypatch, module, attr):
 
     monkeypatch.setattr(module, attr, recording)
     return calls
+
+
+def channel_draws(calls):
+    """The recorded draw_block_fading calls that realize a user's channels:
+    synthesize_csi draws each training sample through draw_block_fading too,
+    on the training-data stream."""
+    return [args for args in calls if args[5].entropy[1] == ex._CHANNEL]
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +217,21 @@ class TestConfig:
         with pytest.raises(FileNotFoundError, match="no_such_profile"):
             tiny_config(profiles=("cdl_e", "no_such_profile"))
 
+
+    def test_profile_file_with_an_unread_key_rejected(self, tmp_path):
+        raw = json.loads(cm.shipped_profile_path("cdl_e").read_text())
+        path = tmp_path / "cdl_e_los.json"
+        path.write_text(json.dumps({**raw, "los": True}))
+        with pytest.raises(cm.ProfileSchemaError, match="los"):
+            tiny_config(profiles=(str(path),))
+
+    def test_overflowing_delay_phase_rejected(self, tmp_path):
+        raw = json.loads(cm.shipped_profile_path("cdl_e").read_text())
+        raw["clusters"][1]["delay_s"] = 1e305
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="delay phase overflows"):
+            tiny_config(profiles=(str(path),))
 
 class TestRunSweep:
     def test_row_count_is_full_cartesian_product(self, tiny_sweep):
@@ -421,7 +446,7 @@ class TestRealizations:
 
         monkeypatch.setattr(cm, "draw_block_fading", counting)
         ex.run_sweep(cfg)
-        assert len(draws) == len(cfg.profiles) * cfg.n_users
+        assert len(channel_draws(draws)) == len(cfg.profiles) * cfg.n_users
 
     def test_sweep_draws_each_user_once_beyond_cache_size(self, monkeypatch):
         """With more users than cached realizations, each (profile, ratio)
@@ -430,7 +455,7 @@ class TestRealizations:
         ex._user_realization.cache_clear()
         draws = record_calls(monkeypatch, cm, "draw_block_fading")
         ex.run_sweep(cfg)
-        assert len(draws) == (1 + len(cfg.kappas)) * cfg.n_users
+        assert len(channel_draws(draws)) == (1 + len(cfg.kappas)) * cfg.n_users
 
     def test_realizations_are_read_only(self, monkeypatch):
         cfg = tiny_config()
@@ -706,3 +731,109 @@ class TestCli:
         cli.main(["sweep", "--config", str(cfg_path), "--out", str(out_a), "--seed", "42"])
         cli.main(["sweep", "--config", str(cfg_path), "--out", str(out_b), "--seed", "43"])
         assert (out_a / "sweep.csv").read_bytes() != (out_b / "sweep.csv").read_bytes()
+
+
+# Cluster values that fail at load: not finite, a bool, a negative delay, and
+# 1e305, whose power or delay phase overflows a float (as an angle it loads).
+_REJECTED_VALUES = [math.nan, math.inf, -math.inf, True, -1e-9, 1e305]
+_CLUSTER = st.fixed_dictionaries({
+    "delay_s": st.floats(0.0, 1e-5),
+    "power_db": st.floats(-40.0, 40.0),
+    **{field: st.floats(-720.0, 720.0) for field in ("aod_az_deg", "aod_zen_deg", "aoa_az_deg", "aoa_zen_deg")},
+})
+
+
+@st.composite
+def drawn_profiles(draw):
+    """A profile file's contents: 1-4 clusters, and in about a quarter of the
+    draws one value from _REJECTED_VALUES."""
+    clusters = draw(st.lists(_CLUSTER, min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        record = draw(st.sampled_from(clusters))
+        record[draw(st.sampled_from(sorted(record)))] = draw(st.sampled_from(_REJECTED_VALUES))
+    # '/' and NUL cannot be part of a file name, so they must fail at load.
+    return {"name": draw(st.text(alphabet="Ca-/É\0", max_size=4)), "clusters": clusters}
+
+
+@st.composite
+def small_experiments(draw):
+    """The fields of a small ExperimentConfig, with 1-2 profiles of which some
+    are drawn profile files, and the drawn files themselves by name. Some
+    draws do not load."""
+    files, profiles = {}, []
+    for i in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            profiles.append(draw(st.sampled_from(["cdl_c", "cdl_e"])))
+        else:
+            files[f"drawn_{i}.json"] = draw(drawn_profiles())
+            profiles.append(f"drawn_{i}.json")
+    kappas = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3, unique=True))
+    fields = dict(
+        profiles=profiles,
+        n_sc=draw(st.integers(1, 12)),
+        n_r=draw(st.integers(1, 3)),
+        ura_rows=draw(st.integers(1, 3)),
+        ura_cols=draw(st.integers(1, 3)),
+        n_pilot=draw(st.integers(1, 12)),
+        delta_f=draw(st.floats(1e-3, 1e9)),
+        kappas=tuple(kappas),
+        rhos=tuple(draw(st.lists(st.floats(-20.0, 90.0), min_size=1, max_size=3, unique=True))),
+        n_users=draw(st.integers(1, 2)),
+        payload_bits=draw(st.integers(1, 300)),
+        n_blocks=draw(st.integers(1, 2)),
+        train=ex.TrainSettings(
+            epochs=draw(st.integers(1, 2)),
+            batch_size=draw(st.integers(1, 8)),
+            learning_rate=draw(st.floats(1e-4, 1e-2)),
+            dataset_size=draw(st.integers(2, 8)),
+            val_fraction=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        ),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+        static_kappa=draw(st.sampled_from(kappas)),
+        adaptive_profile=draw(st.one_of(st.none(), st.sampled_from(profiles))),
+    )
+    return fields, files
+
+
+def load_drawn(case, directory):
+    """The drawn config with its profile files written to ``directory``, or
+    None when it does not load."""
+    fields, files = case
+    for name, raw in files.items():
+        (directory / name).write_text(json.dumps(raw))
+    place = {name: str(directory / name) for name in files}
+    fields = {
+        **fields,
+        "profiles": tuple(place.get(p, p) for p in fields["profiles"]),
+        "adaptive_profile": place.get(fields["adaptive_profile"], fields["adaptive_profile"]),
+    }
+    try:
+        return ex.ExperimentConfig(**fields)
+    except ValueError:
+        return None
+
+
+class TestLoadedConfigsRun:
+    """The converse of failing at load: every config and profile that loads
+    runs the sweep, the adaptive experiment and the heatmap."""
+
+    @settings(max_examples=300)
+    @given(case=small_experiments())
+    def test_a_config_that_loads_also_runs(self, tmp_path_factory, case):
+        out = tmp_path_factory.mktemp("drawn")
+        cfg = load_drawn(case, out)
+        if cfg is None:
+            return
+        sweep = ex.run_sweep(cfg, out_dir=out)
+        ex.run_adaptive_experiment(cfg, out_dir=out, sweep=sweep)
+        ex.emit_csi_heatmap(cfg, cfg.kappas[-1], cfg.rhos[0], cfg.n_users - 1, out, sweep=sweep)
+
+    @settings(max_examples=4)
+    @given(case=small_experiments())
+    def test_threads_give_serial_rows(self, tmp_path_factory, case):
+        out = tmp_path_factory.mktemp("drawn")
+        cfg = load_drawn(case, out)
+        assume(cfg is not None)
+        for threads in (1, 2):
+            ex.run_sweep(cfg, out_dir=out / str(threads), threads=threads)
+        assert (out / "1" / "sweep.csv").read_bytes() == (out / "2" / "sweep.csv").read_bytes()

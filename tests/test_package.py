@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import importlib
+import inspect
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -80,3 +83,37 @@ def test_every_config_field_has_a_reader(settings):
     other than the validation that reads every field."""
     unread = {f.name for f in dataclasses.fields(settings)} - attributes_read_by_runs()
     assert not unread, f"{settings.__name__} fields that no run reads: {sorted(unread)}"
+
+
+# Fields and properties that no code in the package reads, each with the
+# reason it stays. Every other field and property of every class is read by a
+# run. A name that gains a reader must leave this table.
+UNREAD_FIELDS = {
+    "LinkResult.detected_bits": "the link-oracle tests read it; diagnostics.csv gives it a reader (ROADMAP 1b)",
+    "LinkResult.crc_ok": "the link-oracle tests read it; diagnostics.csv's block errors read it (ROADMAP 1b)",
+    "PrecodeSet.sigma": "the link-oracle tests read it; diagnostics.csv's SINR reads it (ROADMAP 1b)",
+    "PrecodeSet.powers": "bench/selftest.py and the link-oracle tests read it; diagnostics.csv reads it (ROADMAP 1b)",
+}
+
+
+def unread_fields_and_properties():
+    """``Class.name`` of every dataclass field and property of a package class
+    whose name the package does not load outside VALIDATORS. The match is by
+    name: a field shares the reader of any attribute of the same name."""
+    read = attributes_read_by_runs()
+    unread = set()
+    for info in pkgutil.iter_modules(csilink.__path__):
+        module = importlib.import_module(f"csilink.{info.name}")
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+            names += [name for name, value in vars(cls).items() if isinstance(value, property)]
+            unread.update(f"{cls.__name__}.{name}" for name in names if name not in read)
+    return unread
+
+
+def test_every_field_and_property_has_a_reader():
+    """No field, config key or property exists only for the tests, apart from
+    the named exceptions, and an exception that gains a reader leaves them."""
+    assert unread_fields_and_properties() == set(UNREAD_FIELDS)
