@@ -40,9 +40,9 @@ def select_kappa(blers: dict[float, float], b_max: float) -> float:
 
     Ties break toward the larger ratio (more compression at equal quality);
     when no ratio qualifies the NO_COMPRESSION sentinel is returned. Only
-    compressed ratios (kappa > 0) are candidates.
+    compressed ratios (kappa != NO_COMPRESSION) are candidates.
     """
-    compressed = [(bler, -kappa, kappa) for kappa, bler in blers.items() if kappa > 0.0]
+    compressed = [(bler, -kappa, kappa) for kappa, bler in blers.items() if kappa != NO_COMPRESSION]
     if not compressed:
         raise PolicyError("no compressed-ratio measurements at this SNR; measure first")
     qualified = [c for c in compressed if c[0] <= b_max]
@@ -88,7 +88,7 @@ def policy_table(dataset: dict[float, dict[float, float]], b_max: float) -> Poli
         blers = dataset[rho]
         kappa = select_kappa(blers, b_max)
         if kappa == NO_COMPRESSION:
-            measured = min(bler for k, bler in blers.items() if k > 0.0)
+            measured = min(bler for k, bler in blers.items() if k != NO_COMPRESSION)
         else:
             measured = blers[kappa]
         entries.append(PolicyEntry(lo, hi, kappa, measured))

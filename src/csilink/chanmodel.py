@@ -115,8 +115,15 @@ class ChannelTensor:
 
 
 def _is_real(value) -> bool:
-    """A number a JSON file may give: true is an int in Python, not 1 dB."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A number a JSON file may give and a float can hold: true is an int in
+    Python, not 1 dB, and a 401-digit integer is too large for float()."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_keys(where: str, record, required, optional=()) -> None:
@@ -214,8 +221,8 @@ def _cluster_terms(profile: CdlProfile, tx: UraGeometry, n_r: int, n_sc: int, de
     a call that raises is not cached, so every draw checks its arguments."""
     if n_r < 1 or n_sc < 1:
         raise ValueError("n_r and n_sc must be >= 1")
-    if delta_f <= 0:
-        raise ValueError("delta_f must be positive")
+    if not 0 < delta_f < math.inf:
+        raise ValueError(f"delta_f must be positive and finite, got {delta_f}")
     # The delay phase's products in their order below, with n_sc >= every k:
     # if the phase can overflow there, this product does.
     if not math.isfinite(TWO_PI * max(c.delay_s for c in profile.clusters) * n_sc * delta_f):

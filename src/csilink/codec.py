@@ -36,7 +36,6 @@ Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 from __future__ import annotations
 
 import copy
-import io
 import math
 import struct
 import time
@@ -49,6 +48,7 @@ from .chanmodel import ChannelTensor
 WIRE_MAGIC = b"CSIC"
 WIRE_VERSION = 1
 MODEL_MAGIC = b"CSIM"
+MODEL_VERSION = 2
 # Bits per latent element on the wire: the latent is float32.
 LATENT_BITS = 32
 
@@ -90,8 +90,7 @@ class AutoencoderModel:
 
     @property
     def input_dim(self) -> int:
-        n_sc, n_r, n_t = self.dims
-        return 2 * n_sc * n_r * n_t
+        return self.weights[0].shape[0]
 
     @property
     def latent_width(self) -> int:
@@ -435,6 +434,19 @@ class TrainSplit:
     rng: np.random.Generator  # the split's generator, past its permutation
 
 
+def _validation_rows(val_fraction: float, n: int) -> int:
+    """round(val_fraction * n), the validation rows of an n-sample split,
+    which must leave at least one training row. TrainSettings checks its
+    fields through this rule at load."""
+    # NaN and infinity fail the range test before the rounding.
+    if not 0 <= val_fraction < 1:
+        raise ValueError(f"val_fraction must be finite, >= 0 and below 1, got {val_fraction}")
+    n_val = int(round(val_fraction * n))
+    if n_val >= n:
+        raise ValueError(f"validation split leaves no training samples of {n}, val_fraction {val_fraction}")
+    return n_val
+
+
 def split_dataset(samples, seed, val_fraction: float) -> TrainSplit:
     """Shuffle-split realified CSI vectors into one array and normalize it.
 
@@ -452,9 +464,7 @@ def split_dataset(samples, seed, val_fraction: float) -> TrainSplit:
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_val = int(round(val_fraction * n))
-    if n_val >= n:
-        raise ValueError("validation split leaves no training samples")
+    n_val = _validation_rows(val_fraction, n)
 
     first = np.asarray(samples[order[0]], dtype=float)
     if first.ndim != 1:
@@ -595,70 +605,64 @@ def deserialize(blob: bytes) -> LatentCsi:
     return LatentCsi(values=values, kappa_index=kappa_index, dims=(n_sc, n_r, n_t))
 
 
+_MODEL_HEADER = struct.Struct("<4sBdBIIIdd")
+
+
 def save_model(model: AutoencoderModel, path):
-    """Binary persistence: shapes header, little-endian float64 arrays, then
-    the normalization stats. Reloads exactly."""
+    """Binary persistence, format version 2: magic 'CSIM', version, kappa,
+    kappa index byte, three u32 dims and the normalization min and max, then
+    each layer's weights and biases as little-endian float64 in _layer_shapes
+    order. The shapes are not stored: kappa and the dims fix them. Reloads
+    exactly."""
+    header = _MODEL_HEADER.pack(
+        MODEL_MAGIC, MODEL_VERSION, model.kappa, model.kappa_index, *model.dims, model.norm_min, model.norm_max
+    )
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<BdB", 1, model.kappa, model.kappa_index))
-        fh.write(struct.pack("<III", *model.dims))
-        fh.write(struct.pack("<B", len(model.weights)))
-        for w in model.weights:
-            fh.write(struct.pack("<II", *w.shape))
+        fh.write(header)
         for w, b in zip(model.weights, model.biases):
             fh.write(w.astype("<f8").tobytes())
             fh.write(b.astype("<f8").tobytes())
-        fh.write(struct.pack("<dd", model.norm_min, model.norm_max))
-
-
-def _read_section(stream, size: int, section: str) -> bytes:
-    data = stream.read(size)
-    if len(data) != size:
-        raise WireFormatError(f"model file truncated in {section}: {len(data)} of {size} bytes")
-    return data
 
 
 def load_model(path) -> AutoencoderModel:
-    """Inverse of save_model. Raises WireFormatError naming the section that
-    is short or not finite, on normalization stats that are not a finite
-    min < max, on a ratio, dims or layer stack that ae_init would not build,
-    and on bytes past the normalization stats."""
-    # Parsed from memory, so a corrupt shape cannot request a huge read.
+    """Inverse of save_model. Raises WireFormatError on a short header, a
+    wrong magic or version, a ratio or dims that ae_init would not build,
+    normalization stats that are not a finite min < max, a file length other
+    than the header plus the layers that ratio and dims fix, and non-finite
+    weights or biases, naming the array."""
     with open(path, "rb") as fh:
-        stream = io.BytesIO(fh.read())
-    if _read_section(stream, 4, "magic") != MODEL_MAGIC:
+        blob = fh.read()
+    if len(blob) < _MODEL_HEADER.size:
+        raise WireFormatError(f"model file truncated in header: {len(blob)} of {_MODEL_HEADER.size} bytes")
+    magic, version, kappa, kappa_index, *dims, norm_min, norm_max = _MODEL_HEADER.unpack_from(blob)
+    if magic != MODEL_MAGIC:
         raise WireFormatError("not a model file")
-    version, kappa, kappa_index = struct.unpack("<BdB", _read_section(stream, 10, "header"))
-    if version != 1:
-        raise WireFormatError(f"unsupported model version {version}")
+    if version != MODEL_VERSION:
+        raise WireFormatError(f"unsupported model version {version}, expected {MODEL_VERSION}")
     if not 0.0 < kappa < 1.0:
         raise WireFormatError(f"compression ratio {kappa} outside (0, 1)")
-    dims = struct.unpack("<III", _read_section(stream, 12, "dims"))
+    dims = tuple(dims)
     if min(dims) == 0:
         raise WireFormatError(f"zero dimension in dims {dims}")
-    expected = _layer_shapes(kappa, dims)
-    (n_layers,) = struct.unpack("<B", _read_section(stream, 1, "layer count"))
-    if n_layers != len(expected):
-        raise WireFormatError(f"model has {n_layers} layers, expected {len(expected)}")
-    shapes = [struct.unpack("<II", _read_section(stream, 8, f"shape {i}")) for i in range(n_layers)]
-    for i, (got, want) in enumerate(zip(shapes, expected)):
-        if got != want:
-            raise WireFormatError(f"layer {i} has shape {got}, expected {want} for kappa {kappa} and dims {dims}")
-    weights, biases = [], []
-    for i, (fi, fo) in enumerate(shapes):
-        w = _read_section(stream, 8 * fi * fo, f"weights {i}")
-        weights.append(np.frombuffer(w, dtype="<f8").reshape(fi, fo).copy())
-        biases.append(np.frombuffer(_read_section(stream, 8 * fo, f"biases {i}"), dtype="<f8").copy())
+    # A finite span also rules out an infinite or NaN end.
+    if not (norm_max > norm_min and math.isfinite(norm_max - norm_min)):
+        raise WireFormatError(f"normalization stats ({norm_min}, {norm_max}) are not a finite min below max")
+    # Checked before any array is read, so corrupt dims cannot request a
+    # huge allocation; it catches a short body and trailing bytes alike.
+    shapes = _layer_shapes(kappa, dims)
+    size = _MODEL_HEADER.size + 8 * sum(fi * fo + fo for fi, fo in shapes)
+    if len(blob) != size:
+        raise WireFormatError(f"model file holds {len(blob)} bytes, expected {size} for kappa {kappa} and dims {dims}")
+    values = np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size)
+    weights, biases, at = [], [], 0
+    for fi, fo in shapes:
+        weights.append(values[at : at + fi * fo].reshape(fi, fo).copy())
+        biases.append(values[at + fi * fo : at + fi * fo + fo].copy())
+        at += fi * fo + fo
     for name, arrays in (("weights", weights), ("biases", biases)):
         for i, a in enumerate(arrays):
             if not np.isfinite(a).all():
                 raise WireFormatError(f"non-finite entries in {name} {i}")
-    norm_min, norm_max = struct.unpack("<dd", _read_section(stream, 16, "normalization stats"))
-    # A finite span also rules out an infinite or NaN end.
-    if not (norm_max > norm_min and math.isfinite(norm_max - norm_min)):
-        raise WireFormatError(f"normalization stats ({norm_min}, {norm_max}) are not a finite min below max")
-    if stream.read(1):
-        raise WireFormatError("trailing bytes after the normalization stats")
     return AutoencoderModel(
         kappa=kappa,
         dims=dims,

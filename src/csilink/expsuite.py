@@ -108,12 +108,7 @@ class TrainSettings:
             raise ValueError("epochs, batch_size and dataset_size must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        # NaN and infinity fail the range test before the rounding; the second
-        # test is the split rule codec.split_dataset applies.
-        if not 0 <= self.val_fraction < 1 or int(round(self.val_fraction * self.dataset_size)) >= self.dataset_size:
-            raise ValueError(
-                f"val_fraction must be finite, >= 0 and leave at least one training sample, got {self.val_fraction}"
-            )
+        codec._validation_rows(self.val_fraction, self.dataset_size)
 
 
 @dataclass(frozen=True)
@@ -140,8 +135,8 @@ class ExperimentConfig:
         """Every check a run depends on, so that a bad config fails when it is
         built or loaded rather than after codec training. Where a library
         object owns a rule (the array geometry, the link dimensions and SNR,
-        the profile files and their cluster terms), the check builds that
-        object."""
+        the latent width of each ratio, the profile files and their cluster
+        terms with the subcarrier spacing), the check builds that object."""
         _check_field_types(self)
         if not self.profiles:
             raise ValueError("need at least one channel profile")
@@ -153,16 +148,13 @@ class ExperimentConfig:
             raise ValueError("need at least one fading block")
         if self.payload_bits < self.n_blocks:
             raise ValueError("payload_bits must be at least n_blocks, one bit per fading block")
-        if not 0 < self.delta_f < math.inf:
-            raise ValueError(f"delta_f must be positive and finite, got {self.delta_f}")
         self.ura
         for rho in self.rhos:
             pl.noise_var_from_snr(self.link_config(rho))
         if self.n_pilot < self.n_t:
             raise ValueError("need n_pilot >= n_t for least-squares estimation")
         for k in self.kappas:
-            if not 0.0 < k < 1.0:
-                raise ValueError("compression ratios must lie strictly between 0 and 1")
+            codec.latent_dim(k, *self.dims)
         if len(set(self.kappas)) != len(self.kappas):
             raise ValueError(f"compression ratios must be unique, got {self.kappas}")
         if len(set(self.rhos)) != len(self.rhos):
@@ -489,7 +481,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
     groups = [
         (cfg, profile, pidx, kappa, bundles.get((profile.name, kappa)))
         for pidx, profile in enumerate(profiles)
-        for kappa in (0.0, *cfg.kappas)
+        for kappa in (ad.NO_COMPRESSION, *cfg.kappas)
     ]
     # Both paths return the results in group order, the row order of sweep.csv.
     if threads > 1:
@@ -575,6 +567,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
         raise ValueError(f"kappa {kappa} is not one of the configured ratios")
     if not 0 <= user < cfg.n_users:
         raise ValueError(f"user {user} is outside the configured users [0, {cfg.n_users})")
+    pl.noise_var_from_snr(cfg.link_config(rho_db))
     profile = resolve_profile(cfg.profiles[0])
     if sweep is not None and (profile.name, kappa) in sweep.models:
         model = sweep.models[(profile.name, kappa)]

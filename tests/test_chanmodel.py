@@ -105,8 +105,8 @@ class TestLoadProfile:
     @pytest.mark.parametrize(
         "field, value",
         [("power_db", True), ("aod_az_deg", math.inf), ("aoa_zen_deg", -math.inf), ("aod_zen_deg", math.nan),
-         ("power_db", 4000.0)],
-        ids=["bool-power", "inf-angle", "minus-inf-angle", "nan-angle", "overflowing-power"],
+         ("power_db", 4000.0), ("aod_az_deg", 10**401)],
+        ids=["bool-power", "inf-angle", "minus-inf-angle", "nan-angle", "overflowing-power", "too-large-int-angle"],
     )
     def test_cluster_value_must_be_a_finite_number(self, tmp_path, field, value):
         path = write_profile(tmp_path, [CLUSTER, {**CLUSTER, field: value}])

@@ -696,11 +696,11 @@ class TestModelPersistence:
         codec.save_model(model, path)
         return path.read_bytes()
 
-    # Offsets in the model above (64 inputs, latent 24): magic at 0, header
-    # at 4, dims at 14, layer count at 26, shapes at 27 (shape 4 at 59),
-    # weights 0 (64x10) at 67, biases 0 at 5187, biases 4 in the 96 bytes
-    # before the end and the normalization stats in the last 16. A negative
-    # cut counts from the end.
+    # Cut points in the model above (64 inputs, latent 24), each labelled
+    # with the section it lands in. The 42-byte header holds the magic at 0,
+    # the version at 4, the dims at 14 and the normalization stats at 26;
+    # weights 0 (64x10) start at 42, biases 0 at 5162, and biases 4 fill the
+    # last 512 bytes. A negative cut counts from the end.
     @pytest.mark.parametrize(
         "cut, section",
         [
@@ -708,28 +708,63 @@ class TestModelPersistence:
             (3, "magic"),
             (4, "header"),
             (14, "dims"),
-            (26, "layer count"),
-            (27, "shape 0"),
-            (61, "shape 4"),
+            (26, "norm stats"),
+            (27, "norm stats"),
+            (41, "norm stats"),
+            (42, "weights 0"),
+            (61, "weights 0"),
             (67, "weights 0"),
             (1000, "weights 0"),
             (5187, "biases 0"),
             (-96, "biases 4"),
-            (-16, "normalization stats"),
-            (-5, "normalization stats"),
+            (-16, "biases 4"),
+            (-5, "biases 4"),
+            (-1, "biases 4"),
         ],
     )
     def test_truncated_file_names_the_short_section(self, tmp_path, cut, section):
+        """A cut inside the header names the header. Past it the format has
+        one length, fixed by kappa and the dims, and the message gives both."""
         blob = self.saved_model(tmp_path)
         path = tmp_path / "cut.bin"
         path.write_bytes(blob[:cut])
-        with pytest.raises(codec.WireFormatError, match=f"truncated in {section}:"):
+        kept = path.stat().st_size
+        if kept < 42:
+            message = f"truncated in header: {kept} of 42 bytes"
+        else:
+            message = rf"holds {kept} bytes, expected {len(blob)} for kappa 0.7 and dims \(8, 2, 2\)"
+        with pytest.raises(codec.WireFormatError, match=message):
             codec.load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
+        blob = self.saved_model(tmp_path)
         path = tmp_path / "long.bin"
-        path.write_bytes(self.saved_model(tmp_path) + b"\x00")
-        with pytest.raises(codec.WireFormatError, match="trailing bytes"):
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(codec.WireFormatError, match=f"holds {len(blob) + 1} bytes, expected {len(blob)}"):
+            codec.load_model(path)
+
+    def test_file_layout(self, tmp_path):
+        """Version 2: magic, version, kappa, kappa index, dims and the
+        normalization stats, then each layer's weights and biases as
+        little-endian float64. No layer count or shape is stored."""
+        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
+        model.norm_min, model.norm_max = -3.25, 4.5
+        path = tmp_path / "model.bin"
+        codec.save_model(model, path)
+        want = struct.pack("<4sBdBIIIdd", b"CSIM", 2, 0.7, 2, 8, 2, 2, -3.25, 4.5)
+        want += b"".join(w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in zip(model.weights, model.biases))
+        assert path.read_bytes() == want
+
+    def test_version_1_file_rejected(self, tmp_path):
+        """A file in the layout before version 2: a layer count and a shape
+        table after the dims, and the normalization stats at the end."""
+        shapes = [(64, 10), (10, 10), (10, 24), (24, 10), (10, 64)]
+        blob = codec.MODEL_MAGIC + struct.pack("<BdB", 1, 0.7, 0) + struct.pack("<III", 8, 2, 2)
+        blob += struct.pack("<B", len(shapes)) + b"".join(struct.pack("<II", *s) for s in shapes)
+        blob += bytes(8 * sum(fi * fo + fo for fi, fo in shapes)) + struct.pack("<dd", 0.0, 1.0)
+        path = tmp_path / "v1.bin"
+        path.write_bytes(blob)
+        with pytest.raises(codec.WireFormatError, match="unsupported model version 1, expected 2"):
             codec.load_model(path)
 
     def test_save_load_exact(self, tmp_path):
@@ -772,40 +807,20 @@ class TestModelPersistence:
             codec.load_model(path)
 
     @staticmethod
-    def write_model(path, kappa, dims, shapes):
-        """A model file with the given header and layer shapes, zero weights."""
-        blob = codec.MODEL_MAGIC + struct.pack("<BdB", 1, kappa, 0) + struct.pack("<III", *dims)
-        blob += struct.pack("<B", len(shapes)) + b"".join(struct.pack("<II", *s) for s in shapes)
-        for fi, fo in shapes:
-            blob += bytes(8 * fi * fo + 8 * fo)
-        path.write_bytes(blob + struct.pack("<dd", 0.0, 1.0))
-
-    def test_zero_layer_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        self.write_model(path, 0.5, (2, 1, 2), [])
-        with pytest.raises(codec.WireFormatError, match="0 layers, expected 5"):
-            codec.load_model(path)
-
-    def test_latent_width_must_match_kappa(self, tmp_path):
-        # kappa 0.7 on 8 subcarriers keeps 3 of them: latent 2*2*2*3 = 24.
-        shapes = [(64, 10), (10, 10), (10, 32), (32, 10), (10, 64)]
-        path = tmp_path / "wide.bin"
-        self.write_model(path, 0.7, (8, 2, 2), shapes)
-        with pytest.raises(codec.WireFormatError, match=r"layer 2 has shape \(10, 32\), expected \(10, 24\)"):
-            codec.load_model(path)
-        shapes[2:4] = [(10, 24), (24, 10)]
-        self.write_model(path, 0.7, (8, 2, 2), shapes)
-        assert codec.load_model(path).latent_width == 24
+    def write_header(path, kappa, dims):
+        """A version-2 header alone: the ratio and dims are checked before
+        the file's length."""
+        path.write_bytes(struct.pack("<4sBdBIIIdd", codec.MODEL_MAGIC, 2, kappa, 0, *dims, 0.0, 1.0))
 
     @pytest.mark.parametrize("kappa", [0.0, 1.0, -0.5, float("nan")])
     def test_ratio_outside_unit_interval_rejected(self, tmp_path, kappa):
         path = tmp_path / "ratio.bin"
-        self.write_model(path, kappa, (2, 1, 2), [(8, 10), (10, 10), (10, 2), (2, 10), (10, 8)])
+        self.write_header(path, kappa, (2, 1, 2))
         with pytest.raises(codec.WireFormatError, match="compression ratio"):
             codec.load_model(path)
 
     def test_zero_dims_rejected(self, tmp_path):
         path = tmp_path / "zero.bin"
-        self.write_model(path, 0.5, (0, 1, 2), [(0, 10), (10, 10), (10, 0), (0, 10), (10, 0)])
+        self.write_header(path, 0.5, (0, 1, 2))
         with pytest.raises(codec.WireFormatError, match="zero dimension"):
             codec.load_model(path)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from csilink import chanmodel as cm
@@ -154,9 +154,11 @@ class TestConfig:
             pytest.param(dict(train=dict(epochs=2.0)), "epochs must be an integer", id="float_epochs"),
             pytest.param(dict(rhos=(True, 10.0)), "rhos must be a tuple of real numbers", id="bool_snr"),
             pytest.param(dict(delta_f=True), "delta_f must be a real number", id="bool_spacing"),
+            pytest.param(dict(delta_f=10**401), "delta_f must be a real number", id="overflowing_subcarrier_spacing"),
             pytest.param(dict(b_max="0.1"), "b_max must be a real number", id="string_bler_ceiling"),
             pytest.param(dict(kappas=(0.5, "0.7")), "kappas must be a tuple of real numbers", id="string_kappa"),
             pytest.param(dict(train=dict(learning_rate="1e-3")), "learning_rate must be a real number", id="string_learning_rate"),
+            pytest.param(dict(train=dict(learning_rate=10**401)), "learning_rate must be a real number", id="overflowing_learning_rate"),
             pytest.param(dict(train=dict(val_fraction="0.2")), "val_fraction must be a real number", id="string_val_fraction"),
             pytest.param(dict(profiles=(7,)), "profiles must be a tuple of strings", id="numeric_profile"),
             pytest.param(dict(adaptive_profile=5), "adaptive_profile must be a string or null", id="numeric_adaptive_profile"),
@@ -232,6 +234,42 @@ class TestConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="delay phase overflows"):
             tiny_config(profiles=(str(path),))
+
+
+def verdict(call):
+    """The message of the ValueError ``call`` raises, or None if it returns."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestOneAnswerPerRule:
+    """Where the config defers a rule to the code that owns it, the config
+    accepts exactly what the owner accepts, and rejects with its message."""
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.5, 0.999, 1.0, -0.1, math.nan, 1.5])
+    def test_ratio_range_is_latent_dim(self, kappa):
+        cfg = tiny_config()
+        owner = verdict(lambda: codec.latent_dim(kappa, *cfg.dims))
+        assert verdict(lambda: replace(cfg, kappas=(kappa,), static_kappa=kappa)) == owner
+
+    @pytest.mark.parametrize("delta_f", [0.0, -1.0, 1e-3, 15e3, 1e300, math.inf, math.nan])
+    def test_subcarrier_spacing_is_the_cluster_terms(self, delta_f):
+        cfg = tiny_config()
+        profile = ex.resolve_profile(cfg.profiles[0])
+        owner = verdict(lambda: cm._cluster_terms(profile, cfg.ura, cfg.n_r, cfg.n_sc, delta_f))
+        assert verdict(lambda: replace(cfg, delta_f=delta_f)) == owner
+
+    @pytest.mark.parametrize("dataset_size", [1, 2, 10, 32])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.2, 0.5, 0.9, 0.99, 1.0, -0.1, math.nan, math.inf])
+    def test_validation_split_is_the_split_rule(self, val_fraction, dataset_size):
+        owner = verdict(lambda: codec._validation_rows(val_fraction, dataset_size))
+        samples = np.arange(2.0 * dataset_size).reshape(dataset_size, 2)
+        assert verdict(lambda: codec.split_dataset(samples, seed=0, val_fraction=val_fraction)) == owner
+        assert verdict(lambda: ex.TrainSettings(dataset_size=dataset_size, val_fraction=val_fraction)) == owner
+
 
 class TestRunSweep:
     def test_row_count_is_full_cartesian_product(self, tiny_sweep):
@@ -635,6 +673,14 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             ex.emit_csi_heatmap(cfg, 0.3, 30.0, 0, tmp_path, sweep=result)
 
+    @pytest.mark.parametrize("rho", [math.nan, 4000.0])
+    def test_snr_the_link_rejects_fails_before_training(self, rho, tmp_path, monkeypatch):
+        trainings = record_calls(monkeypatch, codec, "train")
+        with pytest.raises(ValueError, match="SNR must map to a positive finite"):
+            ex.emit_csi_heatmap(tiny_config(), 0.5, rho, 0, tmp_path / "out")
+        assert trainings == []
+        assert not (tmp_path / "out").exists()
+
 
 class TestEmitHistory:
     def test_rows_and_columns(self, tiny_sweep, tmp_path):
@@ -813,11 +859,16 @@ def load_drawn(case, directory):
         return None
 
 
+# Shrinking reruns a sweep at every step, which took minutes to report a
+# failure that the unshrunk example shows in seconds.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
 class TestLoadedConfigsRun:
     """The converse of failing at load: every config and profile that loads
     runs the sweep, the adaptive experiment and the heatmap."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, phases=NO_SHRINK)
     @given(case=small_experiments())
     def test_a_config_that_loads_also_runs(self, tmp_path_factory, case):
         out = tmp_path_factory.mktemp("drawn")
@@ -828,7 +879,7 @@ class TestLoadedConfigsRun:
         ex.run_adaptive_experiment(cfg, out_dir=out, sweep=sweep)
         ex.emit_csi_heatmap(cfg, cfg.kappas[-1], cfg.rhos[0], cfg.n_users - 1, out, sweep=sweep)
 
-    @settings(max_examples=4)
+    @settings(max_examples=4, phases=NO_SHRINK)
     @given(case=small_experiments())
     def test_threads_give_serial_rows(self, tmp_path_factory, case):
         out = tmp_path_factory.mktemp("drawn")
