@@ -165,9 +165,15 @@ def load_cdl_profile(path) -> CdlProfile:
                     f"profile {path}: cluster {i}: field '{field}' must be a finite number, got {rec[field]!r}"
                 )
         try:
-            gains.append(10.0 ** (float(rec["power_db"]) / 10.0))
+            gain = 10.0 ** (float(rec["power_db"]) / 10.0)
         except OverflowError:
             raise ProfileSchemaError(f"profile {path}: cluster {i}: field 'power_db' overflows, got {rec['power_db']!r}") from None
+        # Normalization divides by the sum of the gains.
+        if gain == 0.0:
+            raise ProfileSchemaError(
+                f"profile {path}: cluster {i}: field 'power_db' underflows to a zero gain, got {rec['power_db']!r}"
+            )
+        gains.append(gain)
 
     total = sum(gains)
     clusters = tuple(

@@ -47,8 +47,6 @@ from .chanmodel import ChannelTensor
 
 WIRE_MAGIC = b"CSIC"
 WIRE_VERSION = 1
-MODEL_MAGIC = b"CSIM"
-MODEL_VERSION = 2
 # Bits per latent element on the wire: the latent is float32.
 LATENT_BITS = 32
 
@@ -64,7 +62,7 @@ _BLOCK_BYTES = 1 << 19
 
 
 class WireFormatError(ValueError):
-    """Raised when compressed-CSI or model bytes do not parse."""
+    """Raised when compressed-CSI bytes do not parse."""
 
 
 @dataclass
@@ -603,72 +601,3 @@ def deserialize(blob: bytes) -> LatentCsi:
         raise WireFormatError(f"payload holds {len(payload)} bytes, expected {4 * d_real}")
     values = np.frombuffer(payload, dtype="<f4").copy()
     return LatentCsi(values=values, kappa_index=kappa_index, dims=(n_sc, n_r, n_t))
-
-
-_MODEL_HEADER = struct.Struct("<4sBdBIIIdd")
-
-
-def save_model(model: AutoencoderModel, path):
-    """Binary persistence, format version 2: magic 'CSIM', version, kappa,
-    kappa index byte, three u32 dims and the normalization min and max, then
-    each layer's weights and biases as little-endian float64 in _layer_shapes
-    order. The shapes are not stored: kappa and the dims fix them. Reloads
-    exactly."""
-    header = _MODEL_HEADER.pack(
-        MODEL_MAGIC, MODEL_VERSION, model.kappa, model.kappa_index, *model.dims, model.norm_min, model.norm_max
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(w.astype("<f8").tobytes())
-            fh.write(b.astype("<f8").tobytes())
-
-
-def load_model(path) -> AutoencoderModel:
-    """Inverse of save_model. Raises WireFormatError on a short header, a
-    wrong magic or version, a ratio or dims that ae_init would not build,
-    normalization stats that are not a finite min < max, a file length other
-    than the header plus the layers that ratio and dims fix, and non-finite
-    weights or biases, naming the array."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _MODEL_HEADER.size:
-        raise WireFormatError(f"model file truncated in header: {len(blob)} of {_MODEL_HEADER.size} bytes")
-    magic, version, kappa, kappa_index, *dims, norm_min, norm_max = _MODEL_HEADER.unpack_from(blob)
-    if magic != MODEL_MAGIC:
-        raise WireFormatError("not a model file")
-    if version != MODEL_VERSION:
-        raise WireFormatError(f"unsupported model version {version}, expected {MODEL_VERSION}")
-    if not 0.0 < kappa < 1.0:
-        raise WireFormatError(f"compression ratio {kappa} outside (0, 1)")
-    dims = tuple(dims)
-    if min(dims) == 0:
-        raise WireFormatError(f"zero dimension in dims {dims}")
-    # A finite span also rules out an infinite or NaN end.
-    if not (norm_max > norm_min and math.isfinite(norm_max - norm_min)):
-        raise WireFormatError(f"normalization stats ({norm_min}, {norm_max}) are not a finite min below max")
-    # Checked before any array is read, so corrupt dims cannot request a
-    # huge allocation; it catches a short body and trailing bytes alike.
-    shapes = _layer_shapes(kappa, dims)
-    size = _MODEL_HEADER.size + 8 * sum(fi * fo + fo for fi, fo in shapes)
-    if len(blob) != size:
-        raise WireFormatError(f"model file holds {len(blob)} bytes, expected {size} for kappa {kappa} and dims {dims}")
-    values = np.frombuffer(blob, dtype="<f8", offset=_MODEL_HEADER.size)
-    weights, biases, at = [], [], 0
-    for fi, fo in shapes:
-        weights.append(values[at : at + fi * fo].reshape(fi, fo).copy())
-        biases.append(values[at + fi * fo : at + fi * fo + fo].copy())
-        at += fi * fo + fo
-    for name, arrays in (("weights", weights), ("biases", biases)):
-        for i, a in enumerate(arrays):
-            if not np.isfinite(a).all():
-                raise WireFormatError(f"non-finite entries in {name} {i}")
-    return AutoencoderModel(
-        kappa=kappa,
-        dims=dims,
-        weights=weights,
-        biases=biases,
-        norm_min=norm_min,
-        norm_max=norm_max,
-        kappa_index=kappa_index,
-    )

@@ -485,7 +485,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> SweepRes
     ]
     # Both paths return the results in group order, the row order of sweep.csv.
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # A forked pool starts all of its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(threads, len(groups))) as pool:
             results = list(pool.map(_sweep_group, groups))
     else:
         results = [_sweep_group(g) for g in groups]
@@ -575,7 +576,7 @@ def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: i
         model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
 
     h_est = _user_estimates(cfg, profile, 0, user, rho_db)[1][0]
-    latent = codec.compress(model, h_est)
+    latent = codec.deserialize(codec.serialize(codec.compress(model, h_est)))
     h_rec = codec.decompress(model, latent)
 
     latent_grid = np.abs(latent.values.astype(float)).reshape(-1, 2 * cfg.n_r * cfg.n_t)

@@ -113,6 +113,12 @@ class TestLoadProfile:
         with pytest.raises(cm.ProfileSchemaError, match=f"cluster 1: field '{field}'"):
             cm.load_cdl_profile(path)
 
+    def test_power_that_underflows_to_zero_gain_is_rejected(self, tmp_path):
+        """With every gain 0 the normalization would divide by a zero sum."""
+        path = write_profile(tmp_path, [{**CLUSTER, "power_db": -4000.0}])
+        with pytest.raises(cm.ProfileSchemaError, match="cluster 0: field 'power_db' underflows"):
+            cm.load_cdl_profile(path)
+
     @pytest.mark.parametrize("name", [5, "a/b", "a\0b"])
     def test_name_must_be_a_file_name_string(self, tmp_path, name):
         path = write_profile(tmp_path, [CLUSTER], name=name)

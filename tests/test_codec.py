@@ -1,5 +1,4 @@
 import math
-import struct
 import weakref
 
 import numpy as np
@@ -686,141 +685,3 @@ class TestOverheadBits:
     def test_log_scaling(self):
         assert codec.overhead_bits(32, 10, 4) - 320 == 2
         assert codec.overhead_bits(32, 10, 5) - 320 == 3
-
-
-class TestModelPersistence:
-    @staticmethod
-    def saved_model(tmp_path) -> bytes:
-        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
-        path = tmp_path / "model.bin"
-        codec.save_model(model, path)
-        return path.read_bytes()
-
-    # Cut points in the model above (64 inputs, latent 24), each labelled
-    # with the section it lands in. The 42-byte header holds the magic at 0,
-    # the version at 4, the dims at 14 and the normalization stats at 26;
-    # weights 0 (64x10) start at 42, biases 0 at 5162, and biases 4 fill the
-    # last 512 bytes. A negative cut counts from the end.
-    @pytest.mark.parametrize(
-        "cut, section",
-        [
-            (0, "magic"),
-            (3, "magic"),
-            (4, "header"),
-            (14, "dims"),
-            (26, "norm stats"),
-            (27, "norm stats"),
-            (41, "norm stats"),
-            (42, "weights 0"),
-            (61, "weights 0"),
-            (67, "weights 0"),
-            (1000, "weights 0"),
-            (5187, "biases 0"),
-            (-96, "biases 4"),
-            (-16, "biases 4"),
-            (-5, "biases 4"),
-            (-1, "biases 4"),
-        ],
-    )
-    def test_truncated_file_names_the_short_section(self, tmp_path, cut, section):
-        """A cut inside the header names the header. Past it the format has
-        one length, fixed by kappa and the dims, and the message gives both."""
-        blob = self.saved_model(tmp_path)
-        path = tmp_path / "cut.bin"
-        path.write_bytes(blob[:cut])
-        kept = path.stat().st_size
-        if kept < 42:
-            message = f"truncated in header: {kept} of 42 bytes"
-        else:
-            message = rf"holds {kept} bytes, expected {len(blob)} for kappa 0.7 and dims \(8, 2, 2\)"
-        with pytest.raises(codec.WireFormatError, match=message):
-            codec.load_model(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        blob = self.saved_model(tmp_path)
-        path = tmp_path / "long.bin"
-        path.write_bytes(blob + b"\x00")
-        with pytest.raises(codec.WireFormatError, match=f"holds {len(blob) + 1} bytes, expected {len(blob)}"):
-            codec.load_model(path)
-
-    def test_file_layout(self, tmp_path):
-        """Version 2: magic, version, kappa, kappa index, dims and the
-        normalization stats, then each layer's weights and biases as
-        little-endian float64. No layer count or shape is stored."""
-        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
-        model.norm_min, model.norm_max = -3.25, 4.5
-        path = tmp_path / "model.bin"
-        codec.save_model(model, path)
-        want = struct.pack("<4sBdBIIIdd", b"CSIM", 2, 0.7, 2, 8, 2, 2, -3.25, 4.5)
-        want += b"".join(w.astype("<f8").tobytes() + b.astype("<f8").tobytes() for w, b in zip(model.weights, model.biases))
-        assert path.read_bytes() == want
-
-    def test_version_1_file_rejected(self, tmp_path):
-        """A file in the layout before version 2: a layer count and a shape
-        table after the dims, and the normalization stats at the end."""
-        shapes = [(64, 10), (10, 10), (10, 24), (24, 10), (10, 64)]
-        blob = codec.MODEL_MAGIC + struct.pack("<BdB", 1, 0.7, 0) + struct.pack("<III", 8, 2, 2)
-        blob += struct.pack("<B", len(shapes)) + b"".join(struct.pack("<II", *s) for s in shapes)
-        blob += bytes(8 * sum(fi * fo + fo for fi, fo in shapes)) + struct.pack("<dd", 0.0, 1.0)
-        path = tmp_path / "v1.bin"
-        path.write_bytes(blob)
-        with pytest.raises(codec.WireFormatError, match="unsupported model version 1, expected 2"):
-            codec.load_model(path)
-
-    def test_save_load_exact(self, tmp_path):
-        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
-        model.norm_min, model.norm_max = -3.25, 4.5
-        path = tmp_path / "model.bin"
-        codec.save_model(model, path)
-        back = codec.load_model(path)
-        assert back.kappa == model.kappa
-        assert back.kappa_index == 2
-        assert back.dims == model.dims
-        assert back.norm_min == model.norm_min and back.norm_max == model.norm_max
-        for wa, wb in zip(model.weights, back.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(model.biases, back.biases):
-            assert np.array_equal(ba, bb)
-
-    @pytest.mark.parametrize(
-        "lo, hi, layer, section",
-        [
-            pytest.param(1.0, 1.0, None, "normalization stats", id="equal_stats"),
-            pytest.param(2.0, 1.0, None, "normalization stats", id="min_above_max"),
-            pytest.param(float("nan"), 1.0, None, "normalization stats", id="nan_stat"),
-            pytest.param(-float("inf"), float("inf"), None, "normalization stats", id="infinite_stats"),
-            pytest.param(0.0, 1.0, ("weights", 3), "weights 3", id="nan_weight"),
-            pytest.param(0.0, 1.0, ("biases", 1), "biases 1", id="nan_bias"),
-        ],
-    )
-    def test_malformed_values_rejected(self, tmp_path, lo, hi, layer, section):
-        """A model that would fail or yield NaN at its first compress fails
-        at load, naming the section."""
-        model = codec.ae_init(0.7, (8, 2, 2), 40, kappa_index=2)
-        model.norm_min, model.norm_max = lo, hi
-        if layer is not None:
-            name, i = layer
-            getattr(model, name)[i][0] = np.nan
-        path = tmp_path / "bad.bin"
-        codec.save_model(model, path)
-        with pytest.raises(codec.WireFormatError, match=section):
-            codec.load_model(path)
-
-    @staticmethod
-    def write_header(path, kappa, dims):
-        """A version-2 header alone: the ratio and dims are checked before
-        the file's length."""
-        path.write_bytes(struct.pack("<4sBdBIIIdd", codec.MODEL_MAGIC, 2, kappa, 0, *dims, 0.0, 1.0))
-
-    @pytest.mark.parametrize("kappa", [0.0, 1.0, -0.5, float("nan")])
-    def test_ratio_outside_unit_interval_rejected(self, tmp_path, kappa):
-        path = tmp_path / "ratio.bin"
-        self.write_header(path, kappa, (2, 1, 2))
-        with pytest.raises(codec.WireFormatError, match="compression ratio"):
-            codec.load_model(path)
-
-    def test_zero_dims_rejected(self, tmp_path):
-        path = tmp_path / "zero.bin"
-        self.write_header(path, 0.5, (0, 1, 2))
-        with pytest.raises(codec.WireFormatError, match="zero dimension"):
-            codec.load_model(path)

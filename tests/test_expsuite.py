@@ -335,6 +335,29 @@ class TestRunSweep:
         parallel = ex.run_sweep(cfg, threads=2)
         assert parallel.rows == result.rows
 
+    def test_pool_starts_no_more_workers_than_groups(self, tiny_sweep, monkeypatch):
+        """A forked pool starts every worker it may use, so the cap is the
+        group count; a serial stand-in records it without starting any."""
+        cfg, result, _ = tiny_sweep
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(ex, "ProcessPoolExecutor", SerialPool)
+        assert ex.run_sweep(cfg, threads=8).rows == result.rows
+        assert workers == [2]  # one profile: the baseline and one ratio
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_non_positive_threads_rejected(self, threads, monkeypatch):
         trainings = record_calls(monkeypatch, codec, "train")
@@ -648,6 +671,14 @@ class TestHeatmap:
         assert recon.shape == (cfg.n_sc, cfg.n_t)
         width = 2 * cfg.n_r * cfg.n_t
         assert latent.shape == (codec.latent_dim(0.5, *cfg.dims) // width, width)
+
+    def test_latent_crosses_the_wire(self, tiny_sweep, tmp_path, monkeypatch):
+        """The grids show the latent as the receiver parses it, like every
+        compressed sweep point."""
+        cfg, result, _ = tiny_sweep
+        received = record_calls(monkeypatch, codec, "deserialize")
+        ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path, sweep=result)
+        assert len(received) == 1
 
     def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
         cfg = tiny_config(kappas=(0.5, 0.7))

@@ -16,11 +16,9 @@ PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = pathlib.Path(csilink.__file__).resolve().parent
 
 # Public names that no code in the package refers to, each with the reason it
-# stays. Every other public function and class has a caller in a run.
+# stays. Every other public function, class and constant has a caller in a run.
 UNREACHED_PUBLIC_NAMES = {
     "overhead_bits",  # criterion 7b specifies the feedback size in closed form
-    "save_model",  # model files on disk (ROADMAP: keep models on disk)
-    "load_model",  # the reader of those model files
     "save_config",  # the config as loaded, for the run manifest (ROADMAP item 1a)
 }
 
@@ -31,24 +29,25 @@ def test_version_matches_pyproject():
 
 
 def unreferenced_public_names():
-    """Public top-level functions and classes of the package that no Name,
-    Attribute or from-import in the package refers to."""
+    """Public top-level functions, classes and UPPER_CASE constants of the
+    package that no loaded Name, Attribute or from-import in the package
+    refers to. A constant's own assignment does not count as a reference."""
     defined, referenced = set(), set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        )
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name) and t.id.isupper())
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    return defined - referenced
+    return {name for name in defined - referenced if not name.startswith("_")}
 
 
 def test_every_public_name_has_a_caller():
