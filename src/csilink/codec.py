@@ -9,24 +9,15 @@ complex-aware mean squared error, implemented from scratch so the whole
 pipeline stays dependency-light and bit-reproducible.
 
 Training gives the bits of the textbook computation (a fresh array per
-step, full-batch products). A training set is written sample by sample
-into its split order and normalized once (split_dataset), into one
-read-only array from which every model trained on it gathers its batches
-and reads its validation rows. Most of the training time goes to the
-output layer's elementwise steps on (batch, m) arrays, so that layer runs
-in row blocks of about 512 KB per array, whose steps stay in cache. Only
-its forward product a4 @ w is blocked; it reduces over the hidden width of
-10, which a row block leaves unchanged. The loss, the bias gradient and
-every product that sums over the batch or the input width run on the full
-batch. A step holds at most two full-batch arrays: its own copy of the
-batch, over which the squared errors are written block by block, and the
-output deltas. The latent z3 (0.9 of the input width at a ratio of 0.1) is
-overwritten after its first reader and recomputed by the same product for
-its weight gradient. The copy dies after the second layer's delta, and the
-batch is gathered again into the deltas' array for the first layer's weight
-gradient, beside no other full-batch array. Each step's gradients die once
-its Adam update has read them, before the next step's backprop starts.
-Adam and the normalization run in place, in the textbook operation order.
+step, full-batch products). Training, validation and inference call one
+forward pass, written as two halves: the encoder (_encode) and the
+decoder's hidden layer (_decode_hidden). A training set is written sample
+by sample into its split order and normalized once (split_dataset), into
+one read-only array from which every model trained on it gathers its
+batches and reads its validation rows. The output layer runs in row blocks
+that stay in cache (_output_layer), and a training step holds at most two
+full-batch arrays (backprop). Adam and the normalization run in place, in
+the textbook operation order.
 
 Layer stack (input m = 2*n_sc*n_r*n_t, latent d = 2*n_r*n_t*ceil((1-k)*n_sc)):
 
@@ -232,26 +223,20 @@ def _sigmoid(x, out=None):
     return np.divide(num, e, out=e)
 
 
-def ae_encode(model: AutoencoderModel, x) -> np.ndarray:
-    """Encoder + latent projection of a batch of input rows."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[1] != model.input_dim:
-        raise ValueError(f"expected rows of length {model.input_dim}, got shape {a.shape}")
+def _encode(model: AutoencoderModel, x, out=None):
+    """Encoder of a batch of input rows: the hidden activations a1 and a2 and
+    the linear latent z3, written into ``out`` when one is given."""
     w, b = model.weights, model.biases
-    h = _relu(a @ w[0] + b[0])
-    h = _relu(h @ w[1] + b[1])
-    return h @ w[2] + b[2]
+    a1 = _relu(x @ w[0] + b[0])
+    a2 = _relu(a1 @ w[1] + b[1])
+    z3 = np.matmul(a2, w[2], out=out)
+    z3 += b[2]
+    return a1, a2, z3
 
 
-def ae_decode(model: AutoencoderModel, z) -> np.ndarray:
-    """Decoder forward pass of a batch of latent rows; output lies in [0, 1]
-    elementwise."""
-    a = np.asarray(z, dtype=float)
-    if a.ndim != 2 or a.shape[1] != model.latent_width:
-        raise ValueError(f"expected latent rows of length {model.latent_width}, got shape {a.shape}")
-    w, b = model.weights, model.biases
-    h = _relu(a @ w[3] + b[3])
-    return _sigmoid(h @ w[4] + b[4])
+def _decode_hidden(model: AutoencoderModel, z) -> np.ndarray:
+    """The decoder's hidden ReLU layer a4 of a batch of latent rows."""
+    return _relu(z @ model.weights[3] + model.biases[3])
 
 
 def mse_loss(a, b, dims) -> float:
@@ -355,12 +340,11 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
 
     Two (batch, input) arrays hold everything as wide as the batch: the
     gathered copy x and the output deltas d5. The latent z3 is computed into
-    d5 before the deltas overwrite it. The squared errors are written over
-    x's targets; x then takes z3 again, recomputed by the same product, and
-    d3 once z3 is dead. x's buffer dies after d2, d3's last reader. The
-    inputs are gathered again into d5 once d4 has read it, so the first
-    layer's weight gradient runs beside that one array. d5 dies on return,
-    and the gradients are fresh arrays the caller owns.
+    d5 before the deltas overwrite it, and recomputed into x, over the summed
+    squared errors, for its weight gradient; d3 then takes its place. Once x
+    dies, the inputs are gathered again into d5 for the first layer's weight
+    gradient. The gradients are fresh arrays the caller owns. The ReLU masks
+    read the activations, since relu(z) > 0 exactly where z > 0.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if rows is None:
@@ -374,14 +358,8 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
     d5 = np.empty_like(x)
     latent = w[2].shape[1]
 
-    z1 = x @ w[0] + b[0]
-    a1 = _relu(z1)
-    z2 = a1 @ w[1] + b[1]
-    a2 = _relu(z2)
-    z3 = np.matmul(a2, w[2], out=_leading(d5, latent))  # latent, linear
-    z3 += b[2]
-    z4 = z3 @ w[3] + b[3]
-    a4 = _relu(z4)
+    a1, a2, z3 = _encode(model, x, out=_leading(d5, latent))
+    a4 = _decode_hidden(model, z3)
     # The loss and every product that reduces over the batch or the input
     # width run on the full batch: blocking them would reorder their sums.
     _output_layer(model, a4, x, x, d5, 2.0 / (n_complex * bsz))
@@ -389,7 +367,7 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
 
     gw5 = a4.T @ d5
     gb5 = d5.sum(axis=0)
-    d4 = (d5 @ w[4].T) * (z4 > 0)
+    d4 = (d5 @ w[4].T) * (a4 > 0)
     # The gradients of the two weights with a wide input, (input, 10), are
     # taken as the transpose of the (10, input) product: the same sums in a
     # faster BLAS layout, copied back to row-major for the Adam step.
@@ -400,11 +378,11 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
     d3 = np.matmul(d4, w[3].T, out=_leading(x, latent))
     gw3 = a2.T @ d3
     gb3 = d3.sum(axis=0)
-    d2 = (d3 @ w[2].T) * (z2 > 0)
+    d2 = (d3 @ w[2].T) * (a2 > 0)
     del z3, d3  # the last views of the gathered batch, which dies with x below
     gw2 = a1.T @ d2
     gb2 = d2.sum(axis=0)
-    d1 = (d2 @ w[1].T) * (z1 > 0)
+    d1 = (d2 @ w[1].T) * (a1 > 0)
     # rows passed the bounds check of the first gather; "wrap" reads them as
     # it did, and unlike the default mode does not buffer the output.
     x = np.take(data, rows, axis=0, out=d5, mode="wrap")
@@ -415,7 +393,7 @@ def backprop(model: AutoencoderModel, data, rows=None) -> tuple[float, list[np.n
 
 
 def _batch_loss(model: AutoencoderModel, x) -> float:
-    a4 = _relu(ae_encode(model, x) @ model.weights[3] + model.biases[3])
+    a4 = _decode_hidden(model, _encode(model, x)[2])
     sq = np.empty_like(x)
     _output_layer(model, a4, x, sq)
     return float(np.sum(sq) / ((model.input_dim // 2) * x.shape[0]))
@@ -532,7 +510,7 @@ def compress(model: AutoencoderModel, h: ChannelTensor) -> LatentCsi:
         raise ValueError(f"tensor dims {h.dims} do not match model dims {model.dims}")
     stats = NormStats(model.norm_min, model.norm_max)
     x = normalize(realify(vectorize_csi(h)), stats)
-    z = quantize(ae_encode(model, x[None])[0])
+    z = quantize(_encode(model, x[None])[2][0])
     return LatentCsi(
         values=z.astype(np.float32),
         kappa_index=model.kappa_index,
@@ -549,7 +527,8 @@ def decompress(model: AutoencoderModel, latent: LatentCsi) -> ChannelTensor:
     if latent.values.size != model.latent_width:
         raise ValueError("latent length does not match the model")
     stats = NormStats(model.norm_min, model.norm_max)
-    y = denormalize(ae_decode(model, latent.values.astype(float)[None])[0], stats)
+    a4 = _decode_hidden(model, latent.values.astype(float)[None])
+    y = denormalize(_sigmoid(a4 @ model.weights[4] + model.biases[4])[0], stats)
     return devectorize_csi(complexify(y), model.dims)
 
 

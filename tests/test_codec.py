@@ -25,6 +25,25 @@ def two_branch_sigmoid(x):
     return out
 
 
+def decoder_output(model, z):
+    """Realified decompress output of each latent row of ``z``, which travel
+    as float32 as on the wire. A fresh model's normalization stats (0, 1)
+    leave the decoder's output unscaled."""
+    rows = []
+    for values in np.atleast_2d(z):
+        latent = codec.LatentCsi(values, model.kappa_index, model.dims)
+        rows.append(codec.realify(codec.vectorize_csi(codec.decompress(model, latent))))
+    return np.array(rows)
+
+
+def full_batch_output(model, x):
+    """Reference reconstruction of input rows ``x``: the codec's two forward
+    halves, then the sigmoid output layer as one full-batch product, which
+    the codec's training runs in row blocks."""
+    a4 = codec._decode_hidden(model, codec._encode(model, x)[2])
+    return two_branch_sigmoid(a4 @ model.weights[4] + model.biases[4])
+
+
 def textbook_backprop(model, x):
     """Loss and gradients with one fresh temporary per elementwise step."""
     w, b = model.weights, model.biases
@@ -177,23 +196,23 @@ class TestAeInit:
 class TestForwardPasses:
     def test_zero_input_zero_biases_zero_latent(self):
         model = tiny_model()
-        z = codec.ae_encode(model, np.zeros((1, model.input_dim)))[0]
+        z = codec._encode(model, np.zeros((1, model.input_dim)))[2][0]
         assert not z.any()
 
     def test_latent_length(self):
         model = tiny_model(kappa=0.5, dims=(4, 2, 2))
-        z = codec.ae_encode(model, np.zeros((1, model.input_dim)))[0]
+        z = codec._encode(model, np.zeros((1, model.input_dim)))[2][0]
         assert z.shape == (codec.latent_dim(0.5, 4, 2, 2),)
 
     def test_zero_latent_gives_half_output(self):
         model = tiny_model()
-        y = codec.ae_decode(model, np.zeros((1, model.latent_width)))[0]
+        y = decoder_output(model, np.zeros(model.latent_width))[0]
         assert np.allclose(y, 0.5)
 
     def test_decode_range(self):
         model = tiny_model(seed=4)
         rng = np.random.default_rng(5)
-        y = codec.ae_decode(model, rng.normal(size=model.latent_width)[None] * 10)[0]
+        y = decoder_output(model, rng.normal(size=model.latent_width) * 10)[0]
         assert ((y >= 0) & (y <= 1)).all()
 
     def test_matches_naive_layer_by_layer_oracle(self):
@@ -208,18 +227,12 @@ class TestForwardPasses:
         h1 = naive_relu(np.array([x @ w[0][:, j] + b[0][j] for j in range(10)]))
         h2 = naive_relu(np.array([h1 @ w[1][:, j] + b[1][j] for j in range(10)]))
         z = np.array([h2 @ w[2][:, j] + b[2][j] for j in range(model.latent_width)])
-        assert np.abs(codec.ae_encode(model, x[None])[0] - z).max() < 1e-10
+        assert np.abs(codec._encode(model, x[None])[2][0] - z).max() < 1e-10
 
+        z = z.astype(np.float32).astype(float)  # the latent's wire precision
         h3 = naive_relu(np.array([z @ w[3][:, j] + b[3][j] for j in range(10)]))
         y = np.array([1.0 / (1.0 + math.exp(-(h3 @ w[4][:, j] + b[4][j]))) for j in range(model.input_dim)])
-        assert np.abs(codec.ae_decode(model, z[None])[0] - y).max() < 1e-10
-
-    def test_length_validation(self):
-        model = tiny_model()
-        with pytest.raises(ValueError):
-            codec.ae_encode(model, np.zeros((1, model.input_dim + 1)))
-        with pytest.raises(ValueError):
-            codec.ae_decode(model, np.zeros((1, model.latent_width + 1)))
+        assert np.abs(decoder_output(model, z)[0] - y).max() < 1e-10
 
     def test_decode_matches_two_branch_sigmoid_bit_for_bit(self):
         # Pre-activations are set through the output bias: with a zero hidden
@@ -237,12 +250,14 @@ class TestForwardPasses:
         for b in random_model.biases:
             b[:] = rng.normal(size=b.size)
         for model in (edge_model, random_model):
-            z = rng.normal(scale=30.0, size=(5, model.latent_width))
+            z = rng.normal(scale=30.0, size=(5, model.latent_width)).astype(np.float32).astype(float)
             w, b = model.weights, model.biases
             with np.errstate(over="raise", invalid="raise"):
-                x = np.maximum(z @ w[3] + b[3], 0.0) @ w[4] + b[4]
+                # One row at a time, as decompress decodes: a single-row
+                # product rounds unlike that row of a batch product.
+                x = np.concatenate([np.maximum(row @ w[3] + b[3], 0.0) @ w[4] + b[4] for row in z[:, None]])
                 expected = two_branch_sigmoid(x)
-                got = codec.ae_decode(model, z)
+                got = decoder_output(model, z)
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
@@ -349,10 +364,10 @@ class TestBackprop:
     def test_zero_error_zero_output_gradient(self):
         model = tiny_model(seed=12)
         x = np.random.default_rng(13).uniform(0.2, 0.8, size=(2, model.input_dim))
-        y = codec.ae_decode(model, codec.ae_encode(model, x))
+        y = full_batch_output(model, x)
         # Force a perfect reconstruction by feeding the model's own output.
         loss, grads = codec.backprop(model, y)
-        same = codec.ae_decode(model, codec.ae_encode(model, y))
+        same = full_batch_output(model, y)
         manual = 2.0 * (same - y) * same * (1.0 - same)
         assert np.abs(manual).max() < 1e-1  # sanity: bounded residual
         if np.abs(same - y).max() < 1e-12:
@@ -453,7 +468,7 @@ class TestBatchLoss:
         for bias in model.biases:
             bias[:] = rng.normal(scale=0.5, size=bias.size)
         x = rng.uniform(size=(bsz, model.input_dim))
-        y = codec.ae_decode(model, codec.ae_encode(model, x))
+        y = full_batch_output(model, x)
         want = float(np.sum((y - x) ** 2) / ((model.input_dim // 2) * bsz))
         assert codec._batch_loss(model, x) == want
 
@@ -612,6 +627,21 @@ class TestCompressDecompress:
         v = latent.values.astype(float)
         assert np.abs(codec.quantize(v) - v).max() < 1e-6
 
+    # Each wrong shape keeps the element count where it can, and the message
+    # is matched, so no matmul shape error stands in for a missing check.
+    @pytest.mark.parametrize("mismatch", ["tensor dims", "latent dims", "latent length"])
+    def test_shape_mismatch_rejected(self, mismatch):
+        model = codec.ae_init(0.5, self.dims, 31)
+        h = self.make_channel(5)
+        latent = codec.compress(model, h)
+        with pytest.raises(ValueError, match=mismatch):
+            if mismatch == "tensor dims":
+                codec.compress(model, cm.ChannelTensor(h.data.reshape(2, 2, 8)))
+            elif mismatch == "latent dims":
+                codec.decompress(model, codec.LatentCsi(latent.values, latent.kappa_index, (4, 4, 2)))
+            else:
+                codec.decompress(model, codec.LatentCsi(latent.values[:-1], latent.kappa_index, self.dims))
+
     def test_kappa_mismatch_rejected(self):
         m1 = self.fitted_model(kappa=0.5, seed=32)
         m2 = codec.ae_init(0.5, self.dims, 33, kappa_index=1)
@@ -644,6 +674,13 @@ class TestWireFormat:
         blob = codec.serialize(latent)
         header = 4 + 1 + 1 + 1 + 4 * 4
         assert (len(blob) - header) * 8 == 32 * 8192
+
+    # Every cut short of the 23-byte header.
+    @pytest.mark.parametrize("cut", range(23))
+    def test_truncated_header_rejected(self, cut):
+        blob = codec.serialize(codec.LatentCsi(np.ones(4, dtype=np.float32), 0, (1, 2, 2)))
+        with pytest.raises(codec.WireFormatError, match="truncated header"):
+            codec.deserialize(blob[:cut])
 
     def test_truncated_stream_rejected(self):
         latent = codec.LatentCsi(np.ones(16, dtype=np.float32), 0, (4, 2, 2))

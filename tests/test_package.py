@@ -16,7 +16,8 @@ PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 PACKAGE = pathlib.Path(csilink.__file__).resolve().parent
 
 # Public names that no code in the package refers to, each with the reason it
-# stays. Every other public function, class and constant has a caller in a run.
+# stays. Every other top-level function, class and constant, public or
+# private, has a caller in a run.
 UNREACHED_PUBLIC_NAMES = {
     "overhead_bits",  # criterion 7b specifies the feedback size in closed form
     "save_config",  # the config as loaded, for the run manifest (ROADMAP item 1a)
@@ -28,10 +29,11 @@ def test_version_matches_pyproject():
         assert csilink.__version__ == tomllib.load(fh)["project"]["version"]
 
 
-def unreferenced_public_names():
-    """Public top-level functions, classes and UPPER_CASE constants of the
-    package that no loaded Name, Attribute or from-import in the package
-    refers to. A constant's own assignment does not count as a reference."""
+def unreferenced_names():
+    """Top-level functions, classes and UPPER_CASE constants of the package,
+    public or private, that no loaded Name, Attribute or from-import in the
+    package refers to. A constant's own assignment does not count as a
+    reference."""
     defined, referenced = set(), set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -47,12 +49,13 @@ def unreferenced_public_names():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    return {name for name in defined - referenced if not name.startswith("_")}
+    return defined - referenced
 
 
 def test_every_public_name_has_a_caller():
-    """No public name exists only for the tests, apart from the named exceptions."""
-    assert unreferenced_public_names() == UNREACHED_PUBLIC_NAMES
+    """No public name exists only for the tests, apart from the named
+    exceptions, and no private helper is left without a caller."""
+    assert unreferenced_names() == UNREACHED_PUBLIC_NAMES
 
 
 # Functions that read every field by construction: the checks, not a run.
