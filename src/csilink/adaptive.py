@@ -1,9 +1,9 @@
 """Adaptive compression-ratio policy.
 
 The sweep rows of one channel are averaged into a table of mean BLER per
-(SNR, compression ratio); for each SNR the policy picks the ratio with the
-lowest mean BLER among those meeting the BLER ceiling, falling back to
-uncompressed feedback when nothing qualifies.
+(SNR, compression ratio); for each SNR the policy picks the compressed ratio
+with the lowest mean BLER if it meets the BLER ceiling, and falls back to
+uncompressed feedback otherwise.
 """
 
 from __future__ import annotations
@@ -32,21 +32,6 @@ def build_dataset(rows) -> dict[float, dict[float, float]]:
         rho: {kappa: total / n for kappa, (total, n) in sorted(cells.items())}
         for rho, cells in sorted(sums.items())
     }
-
-
-def select_kappa(blers: dict[float, float], b_max: float) -> float:
-    """Ratio with the lowest mean BLER among those with BLER <= b_max, from
-    one SNR's {kappa: bler}.
-
-    Ties break toward the larger ratio (more compression at equal quality);
-    when no ratio qualifies the NO_COMPRESSION sentinel is returned. Only
-    compressed ratios (kappa != NO_COMPRESSION) are candidates.
-    """
-    compressed = [(bler, -kappa, kappa) for kappa, bler in blers.items() if kappa != NO_COMPRESSION]
-    if not compressed:
-        raise PolicyError("no compressed-ratio measurements at this SNR; measure first")
-    qualified = [c for c in compressed if c[0] <= b_max]
-    return min(qualified)[2] if qualified else NO_COMPRESSION
 
 
 @dataclass(frozen=True)
@@ -81,17 +66,21 @@ def bucket_edges(buckets) -> list[tuple[float, float]]:
 
 
 def policy_table(dataset: dict[float, dict[float, float]], b_max: float) -> PolicyTable:
-    """One chosen ratio per measured SNR. A baseline entry records the best
-    compressed BLER, the one that missed the ceiling."""
+    """One chosen ratio per measured SNR: the compressed ratio (kappa !=
+    NO_COMPRESSION) with the lowest mean BLER, ties broken toward the larger
+    ratio (more compression at equal quality), if that BLER is <= b_max, and
+    NO_COMPRESSION otherwise. Either way the entry records that lowest BLER.
+
+    The lowest BLER meets the ceiling exactly when any ratio does, so this is
+    the lowest-BLER ratio among those meeting the ceiling.
+    """
     entries = []
     for (lo, hi), rho in zip(bucket_edges(dataset), sorted(dataset)):
-        blers = dataset[rho]
-        kappa = select_kappa(blers, b_max)
-        if kappa == NO_COMPRESSION:
-            measured = min(bler for k, bler in blers.items() if k != NO_COMPRESSION)
-        else:
-            measured = blers[kappa]
-        entries.append(PolicyEntry(lo, hi, kappa, measured))
+        compressed = [(bler, -kappa, kappa) for kappa, bler in dataset[rho].items() if kappa != NO_COMPRESSION]
+        if not compressed:
+            raise PolicyError(f"no compressed-ratio measurements at {rho} dB; measure first")
+        bler, _, kappa = min(compressed)
+        entries.append(PolicyEntry(lo, hi, kappa if bler <= b_max else NO_COMPRESSION, bler))
     return PolicyTable(entries=tuple(entries))
 
 

@@ -10,11 +10,12 @@ pipeline stays dependency-light and bit-reproducible.
 
 Training gives the bits of the textbook computation (a fresh array per
 step, full-batch products). Training, validation and inference call one
-forward pass, written as two halves: the encoder (_encode) and the
-decoder's hidden layer (_decode_hidden). A training set is written sample
-by sample into its split order and normalized once (split_dataset), into
-one read-only array from which every model trained on it gathers its
-batches and reads its validation rows. The output layer runs in row blocks
+forward pass, written as three parts: the encoder (_encode), the decoder's
+hidden layer (_decode_hidden) and its sigmoid output layer
+(_decode_output). A training set is written sample by sample into its split
+order and normalized once (split_dataset), into one read-only array from
+which every model trained on it gathers its batches and reads its
+validation rows. Training and validation run the output layer in row blocks
 that stay in cache (_output_layer), and a training step holds at most two
 full-batch arrays (backprop). Adam and the normalization run in place, in
 the textbook operation order.
@@ -209,13 +210,14 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _sigmoid(x, out=None):
-    """Overflow-free logistic function, elementwise: 1/(1+exp(-x)) for x >= 0
-    and exp(x)/(1+exp(x)) otherwise, with e = exp(-|x|) shared by both.
-    Since e <= 1, max(e, x >= 0) is the numerator of either branch, which
-    selects without masked gathers. ``out`` may be ``x`` itself."""
+def _sigmoid(x):
+    """Overflow-free logistic function, elementwise and in place: x is
+    overwritten with 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x))
+    otherwise, with e = exp(-|x|) shared by both, and returned. Since e <= 1,
+    max(e, x >= 0) is the numerator of either branch, which selects without
+    masked gathers."""
     pos = x >= 0
-    e = np.abs(x, out=out)
+    e = np.abs(x, out=x)
     np.negative(e, out=e)
     np.exp(e, out=e)
     num = np.maximum(e, pos)
@@ -237,6 +239,14 @@ def _encode(model: AutoencoderModel, x, out=None):
 def _decode_hidden(model: AutoencoderModel, z) -> np.ndarray:
     """The decoder's hidden ReLU layer a4 of a batch of latent rows."""
     return _relu(z @ model.weights[3] + model.biases[3])
+
+
+def _decode_output(model: AutoencoderModel, a4, out=None) -> np.ndarray:
+    """The decoder's sigmoid output layer of a batch of hidden rows a4,
+    written into ``out`` when one is given."""
+    y = np.matmul(a4, model.weights[4], out=out)
+    y += model.biases[4]
+    return _sigmoid(y)
 
 
 def mse_loss(a, b, dims) -> float:
@@ -301,7 +311,6 @@ def _output_layer(model: AutoencoderModel, a4, x, sq, delta=None, delta_scale=No
     the full product does, and no block holds a single row of a larger batch,
     which BLAS would compute as a matrix-vector product with other rounding.
     """
-    w, b = model.weights[4], model.biases[4]
     n, m = x.shape
     rows = max(2, _BLOCK_BYTES // (8 * m))
     starts = list(range(0, n, rows))
@@ -309,9 +318,7 @@ def _output_layer(model: AutoencoderModel, a4, x, sq, delta=None, delta_scale=No
         starts.pop()
     buf = np.empty((min(n, rows + 1), m))
     for lo, hi in zip(starts, starts[1:] + [n]):
-        y = np.matmul(a4[lo:hi], w, out=buf[: hi - lo])
-        y += b
-        _sigmoid(y, out=y)
+        y = _decode_output(model, a4[lo:hi], out=buf[: hi - lo])
         # The difference is made where it is used up: squared in place for
         # the loss alone, otherwise scaled in place into the delta.
         diff = np.subtract(y, x[lo:hi], out=(sq if delta is None else delta)[lo:hi])
@@ -511,11 +518,7 @@ def compress(model: AutoencoderModel, h: ChannelTensor) -> LatentCsi:
     stats = NormStats(model.norm_min, model.norm_max)
     x = normalize(realify(vectorize_csi(h)), stats)
     z = quantize(_encode(model, x[None])[2][0])
-    return LatentCsi(
-        values=z.astype(np.float32),
-        kappa_index=model.kappa_index,
-        dims=model.dims,
-    )
+    return LatentCsi(values=z, kappa_index=model.kappa_index, dims=model.dims)
 
 
 def decompress(model: AutoencoderModel, latent: LatentCsi) -> ChannelTensor:
@@ -528,7 +531,7 @@ def decompress(model: AutoencoderModel, latent: LatentCsi) -> ChannelTensor:
         raise ValueError("latent length does not match the model")
     stats = NormStats(model.norm_min, model.norm_max)
     a4 = _decode_hidden(model, latent.values.astype(float)[None])
-    y = denormalize(_sigmoid(a4 @ model.weights[4] + model.biases[4])[0], stats)
+    y = denormalize(_decode_output(model, a4)[0], stats)
     return devectorize_csi(complexify(y), model.dims)
 
 

@@ -561,19 +561,20 @@ def run_adaptive_experiment(cfg: ExperimentConfig, out_dir=None, *, sweep: Sweep
     return rows, table
 
 
-def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: int, out_dir, sweep: SweepResult | None = None):
+def emit_csi_heatmap(cfg: ExperimentConfig, kappa: float, rho_db: float, user: int, out_dir):
     """Magnitude grids of the original estimate, the latent feedback and the
-    reconstruction for receive antenna 0, as three CSV files."""
+    reconstruction for receive antenna 0, as three CSV files.
+
+    The model is the first profile's model for ``kappa``, trained alone on
+    the split the sweep trains on: paired training makes it the sweep's
+    model."""
     if kappa not in cfg.kappas:
         raise ValueError(f"kappa {kappa} is not one of the configured ratios")
     if not 0 <= user < cfg.n_users:
         raise ValueError(f"user {user} is outside the configured users [0, {cfg.n_users})")
     pl.noise_var_from_snr(cfg.link_config(rho_db))
     profile = resolve_profile(cfg.profiles[0])
-    if sweep is not None and (profile.name, kappa) in sweep.models:
-        model = sweep.models[(profile.name, kappa)]
-    else:
-        model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
+    model = _train_codec(cfg, build_training_set(cfg, profile, 0), 0, kappa).model
 
     h_est = _user_estimates(cfg, profile, 0, user, rho_db)[1][0]
     latent = codec.deserialize(codec.serialize(codec.compress(model, h_est)))

@@ -348,13 +348,18 @@ class TestDeskScaleExamples:
         "cannot reconstruct the ripple detail (measured Pearson 0.083 at kappa 0.5, "
         "30 dB, user 0); see the heatmap shape checks in test_expsuite for the format contract",
     )
-    def test_heatmap_reconstruction_correlates(self, desk, tmp_path):
+    def test_heatmap_reconstruction_correlates(self, desk):
+        """The grids that ``csilink heatmap`` writes at kappa 0.5, 30 dB, user
+        0, computed from the sweep's model; TestHeatmap in test_expsuite
+        checks that the heatmap's own model gives the same grids."""
         cfg, sweep, _ = desk
-        paths = ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path, sweep=sweep)
-        original = np.loadtxt(paths["original"], delimiter=",")
-        recon = np.loadtxt(paths["reconstructed"], delimiter=",")
+        model = sweep.models[("CDL-E", 0.5)]
+        h_est = ex._user_estimates(cfg, ex.resolve_profile(cfg.profiles[0]), 0, 0, 30.0)[1][0]
+        latent = codec.deserialize(codec.serialize(codec.compress(model, h_est)))
+        original = np.abs(h_est.data[:, 0, :])
+        recon = np.abs(codec.decompress(model, latent).data[:, 0, :])
         assert original.shape == (cfg.n_sc, cfg.n_t)
-        assert np.loadtxt(paths["latent"], delimiter=",").size == codec.latent_dim(0.5, *cfg.dims)
+        assert latent.values.size == codec.latent_dim(0.5, *cfg.dims)
         pearson = float(np.corrcoef(original.ravel(), recon.ravel())[0, 1])
         report("extra: reconstruction heatmap correlates with the original",
                pearson > 0.5, f"pearson {pearson:.3f}")

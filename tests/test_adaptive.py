@@ -54,25 +54,73 @@ class TestBuildDataset:
         assert order(a) == order(b)
 
 
+def chosen(blers, b_max):
+    """The ratio policy_table picks from one SNR's {kappa: bler}."""
+    return ad.policy_table({5.0: blers}, b_max).entries[0].kappa
+
+
+def two_step_entry(blers, b_max):
+    """Reference policy for one SNR's {kappa: bler}, as (kappa, measured_bler):
+    filter the compressed ratios by the ceiling, then take the argmin, ties
+    toward the larger ratio. A baseline entry records the best compressed
+    BLER, the one that missed the ceiling."""
+    compressed = [(bler, -kappa, kappa) for kappa, bler in blers.items() if kappa != ad.NO_COMPRESSION]
+    qualified = [c for c in compressed if c[0] <= b_max]
+    if qualified:
+        kappa = min(qualified)[2]
+        return kappa, blers[kappa]
+    return ad.NO_COMPRESSION, min(c[0] for c in compressed)
+
+
 class TestSelectKappa:
+    """The ratio policy_table selects at one SNR."""
+
     def test_constrained_argmin(self):
-        assert ad.select_kappa({0.1: 0.05, 0.5: 0.02, 0.7: 0.3}, b_max=0.1) == 0.5
+        assert chosen({0.1: 0.05, 0.5: 0.02, 0.7: 0.3}, b_max=0.1) == 0.5
 
     def test_all_above_ceiling_falls_back(self):
-        assert ad.select_kappa({0.1: 0.2, 0.5: 0.3, 0.7: 0.9}, b_max=0.1) == ad.NO_COMPRESSION
+        assert chosen({0.1: 0.2, 0.5: 0.3, 0.7: 0.9}, b_max=0.1) == ad.NO_COMPRESSION
 
     def test_tie_breaks_toward_more_compression(self):
-        assert ad.select_kappa({0.1: 0.02, 0.5: 0.02}, b_max=0.1) == 0.5
+        assert chosen({0.1: 0.02, 0.5: 0.02}, b_max=0.1) == 0.5
 
     def test_baseline_rows_are_not_candidates(self):
-        assert ad.select_kappa({0.0: 0.0, 0.1: 0.05}, b_max=0.1) == 0.1
+        assert chosen({0.0: 0.0, 0.1: 0.05}, b_max=0.1) == 0.1
 
     def test_no_compressed_measurement_errors(self):
         with pytest.raises(ad.PolicyError):
-            ad.select_kappa({0.0: 0.0}, b_max=0.1)
+            chosen({0.0: 0.0}, b_max=0.1)
 
     def test_unconstrained_via_unit_ceiling(self):
-        assert ad.select_kappa({0.1: 0.4, 0.5: 0.6, 0.7: 0.2}, b_max=1.0) == 0.7
+        assert chosen({0.1: 0.4, 0.5: 0.6, 0.7: 0.2}, b_max=1.0) == 0.7
+
+    def test_matches_two_step_reference(self):
+        """One argmin then the ceiling test equals the ceiling filter then the
+        argmin, on random tables drawn so that ties, BLERs equal to b_max and
+        a baseline column are common."""
+        rng = np.random.default_rng(3)
+        levels = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0)
+        kappas = (0.1, 0.3, 0.5, 0.7, 0.9)
+        seen = {"tie": 0, "at ceiling": 0, "baseline column": 0, "compressed": 0, "fallback": 0}
+        for _ in range(10_000):
+            ratios = rng.choice(kappas, size=rng.integers(1, len(kappas) + 1), replace=False)
+            blers = {
+                float(k): float(rng.choice(levels)) if rng.random() < 0.7 else float(rng.uniform(0, 1))
+                for k in ratios
+            }
+            if rng.random() < 0.5:
+                blers[ad.NO_COMPRESSION] = float(rng.choice(levels))
+            b_max = float(rng.choice(levels)) if rng.random() < 0.8 else float(rng.uniform(0, 1))
+
+            entry = ad.policy_table({5.0: blers}, b_max).entries[0]
+            assert (entry.kappa, entry.measured_bler) == two_step_entry(blers, b_max), (blers, b_max)
+
+            compressed = [b for k, b in blers.items() if k != ad.NO_COMPRESSION]
+            seen["tie"] += compressed.count(min(compressed)) > 1
+            seen["at ceiling"] += b_max in compressed
+            seen["baseline column"] += ad.NO_COMPRESSION in blers
+            seen["compressed" if entry.kappa != ad.NO_COMPRESSION else "fallback"] += 1
+        assert min(seen.values()) > 1000, seen
 
 
 class TestPolicyTable:

@@ -603,11 +603,11 @@ class TestSharedEstimates:
         ex.run_adaptive_experiment(cfg, sweep=sweep)
         assert estimates == []
 
-    def test_heatmap_cold_and_warm_agree(self, tiny_sweep, tmp_path):
-        cfg, result, _ = tiny_sweep
+    def test_heatmap_cold_and_warm_agree(self, tmp_path):
+        cfg = tiny_config()
         ex._user_realization.cache_clear()
-        cold = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "cold", sweep=result)
-        warm = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "warm", sweep=result)
+        cold = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "cold")
+        warm = ex.emit_csi_heatmap(cfg, 0.5, 10.0, 1, tmp_path / "warm")
         assert ex._user_realization.cache_info()[:2] == (1, 1)  # hits, misses
         for label in ("original", "latent", "reconstructed"):
             assert Path(cold[label]).read_bytes() == Path(warm[label]).read_bytes()
@@ -661,9 +661,9 @@ class TestAdaptiveExperiment:
 
 
 class TestHeatmap:
-    def test_grid_shapes(self, tiny_sweep, tmp_path):
-        cfg, result, _ = tiny_sweep
-        paths = ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path, sweep=result)
+    def test_grid_shapes(self, tmp_path):
+        cfg = tiny_config()
+        paths = ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path)
         original = np.loadtxt(paths["original"], delimiter=",")
         recon = np.loadtxt(paths["reconstructed"], delimiter=",")
         latent = np.loadtxt(paths["latent"], delimiter=",")
@@ -672,23 +672,34 @@ class TestHeatmap:
         width = 2 * cfg.n_r * cfg.n_t
         assert latent.shape == (codec.latent_dim(0.5, *cfg.dims) // width, width)
 
-    def test_latent_crosses_the_wire(self, tiny_sweep, tmp_path, monkeypatch):
+    def test_latent_crosses_the_wire(self, tmp_path, monkeypatch):
         """The grids show the latent as the receiver parses it, like every
         compressed sweep point."""
-        cfg, result, _ = tiny_sweep
+        cfg = tiny_config()
         received = record_calls(monkeypatch, codec, "deserialize")
-        ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path, sweep=result)
+        ex.emit_csi_heatmap(cfg, 0.5, 30.0, 0, tmp_path)
         assert len(received) == 1
 
     def test_trains_only_the_requested_ratio(self, tmp_path, monkeypatch):
+        """The heatmap trains the one model it shows, and paired training makes
+        that model the sweep's: the grids are those of the sweep's model."""
         cfg = tiny_config(kappas=(0.5, 0.7))
-        swept = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "swept", sweep=ex.run_sweep(cfg))
+        model = ex.run_sweep(cfg).models[("CDL-E", 0.7)]
         trainings = record_calls(monkeypatch, codec, "train")
-        alone = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path / "alone")
+        paths = ex.emit_csi_heatmap(cfg, 0.7, 30.0, 0, tmp_path)
         assert len(trainings) == 1
         assert isinstance(trainings[0][1], codec.TrainSplit)
-        for label in ("original", "latent", "reconstructed"):
-            assert Path(alone[label]).read_bytes() == Path(swept[label]).read_bytes()
+
+        h_est = ex._user_estimates(cfg, ex.resolve_profile(cfg.profiles[0]), 0, 0, 30.0)[1][0]
+        latent = codec.deserialize(codec.serialize(codec.compress(model, h_est)))
+        h_rec = codec.decompress(model, latent)
+        expected = {
+            "original": np.abs(h_est.data[:, 0, :]),
+            "latent": np.abs(latent.values.astype(float)).reshape(-1, 2 * cfg.n_r * cfg.n_t),
+            "reconstructed": np.abs(h_rec.data[:, 0, :]),
+        }
+        for label, grid in expected.items():
+            assert np.array_equal(np.loadtxt(paths[label], delimiter=",", ndmin=2), grid), label
 
     @pytest.mark.parametrize("user", [-1, 2])
     def test_user_outside_range_rejected(self, user, tmp_path, monkeypatch):
@@ -699,10 +710,10 @@ class TestHeatmap:
             ex.emit_csi_heatmap(tiny_config(), 0.5, 30.0, user, tmp_path)
         assert trainings == []
 
-    def test_unknown_kappa_rejected(self, tiny_sweep, tmp_path):
-        cfg, result, _ = tiny_sweep
+    def test_unknown_kappa_rejected(self, tmp_path):
+        cfg = tiny_config()
         with pytest.raises(ValueError):
-            ex.emit_csi_heatmap(cfg, 0.3, 30.0, 0, tmp_path, sweep=result)
+            ex.emit_csi_heatmap(cfg, 0.3, 30.0, 0, tmp_path)
 
     @pytest.mark.parametrize("rho", [math.nan, 4000.0])
     def test_snr_the_link_rejects_fails_before_training(self, rho, tmp_path, monkeypatch):
@@ -908,7 +919,7 @@ class TestLoadedConfigsRun:
             return
         sweep = ex.run_sweep(cfg, out_dir=out)
         ex.run_adaptive_experiment(cfg, out_dir=out, sweep=sweep)
-        ex.emit_csi_heatmap(cfg, cfg.kappas[-1], cfg.rhos[0], cfg.n_users - 1, out, sweep=sweep)
+        ex.emit_csi_heatmap(cfg, cfg.kappas[-1], cfg.rhos[0], cfg.n_users - 1, out)
 
     @settings(max_examples=4, phases=NO_SHRINK)
     @given(case=small_experiments())

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import pathlib
 import pkgutil
 
@@ -119,3 +120,49 @@ def test_every_field_and_property_has_a_reader():
     """No field, config key or property exists only for the tests, apart from
     the named exceptions, and an exception that gains a reader leaves them."""
     assert unread_fields_and_properties() == set(UNREAD_FIELDS)
+
+
+# Defaulted parameters that no call in the package sets, each with the reason
+# it stays. Every other optional parameter is set by some run, so no default
+# exists only for the tests.
+UNSET_OPTIONAL_PARAMETERS = {
+    "main.argv": "the console script calls main() and argparse reads sys.argv",
+}
+
+
+def unset_optional_parameters():
+    """``function.parameter`` of every defaulted parameter of a package
+    function or method that no call in the package sets, by keyword or by
+    position. The match is by name: a call of any function or attribute of
+    that name counts, and a method's first parameter is bound, not passed."""
+    defaulted, calls = [], []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                bound = id(node) in methods
+                first = len(positional) - len(args.defaults)
+                defaulted += [(node.name, a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+                defaulted += [(node.name, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.append((name, math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return {
+        f"{function}.{param}"
+        for function, param, index in defaulted
+        if not any(
+            name == function and ((index is not None and n > index) or param in keywords or None in keywords)
+            for name, n, keywords in calls
+        )
+    }
+
+
+def test_every_optional_parameter_is_set_by_a_run():
+    """No default exists only for the tests: every defaulted parameter is set
+    by some call in the package, apart from the named exceptions."""
+    assert unset_optional_parameters() == set(UNSET_OPTIONAL_PARAMETERS)
